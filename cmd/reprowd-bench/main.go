@@ -1,56 +1,31 @@
-// Command reprowd-bench runs the reproduction's experiment suite (E1–E10
-// in DESIGN.md, plus E11 for the journal group-commit pipeline, E12 for
-// snapshot-checkpointed recovery, E13 for journal-shipping replication,
-// E14 for the ring-routed gateway, E15 for the observability layer's
-// overhead, E16 for the binary event codec and gateway read cache, and
-// E17 for the distributed crowd-operator runtime) and prints the tables
-// recorded in EXPERIMENTS.md. Experiments with machine-readable output
-// (E11 → BENCH_submit.json, E12 → BENCH_recovery.json, E13 →
-// BENCH_repl.json, E14 → BENCH_gate.json, E15 → BENCH_obs.json, E16 →
-// BENCH_codec.json, E17 → BENCH_dist.json) write it to -out.
+// Command reprowd-bench runs the reproduction's experiment suite (E1–E17;
+// the index, what each one gates and the file it writes are in
+// docs/ARCHITECTURE.md § "Experiments and gates") and prints each
+// experiment's table. Experiments with machine-readable output (E11 →
+// BENCH_submit.json, E12 → BENCH_recovery.json, E13 → BENCH_repl.json,
+// E14 → BENCH_gate.json, E15 → BENCH_obs.json, E16 → BENCH_codec.json,
+// E17 → BENCH_dist.json) write it to -out.
 //
-// The command doubles as the CI perf gate: -baseline compares the fresh
-// BENCH_submit.json against a committed baseline and exits non-zero if
-// any scenario's submit throughput regressed past -max-regress,
-// -check-recovery enforces E12's bounded-replay invariant on
-// BENCH_recovery.json, -check-repl enforces E13's replication invariants
-// (snapshot-bootstrapped catch-up, zero final lag, byte-identical
-// follower) on BENCH_repl.json, -check-gate enforces E14's routing
-// invariants (partition-disjoint writes, follower-served reads,
-// byte-identical results through the gateway) on BENCH_gate.json — all
-// structural count/byte checks, immune to machine speed — -check-obs
-// enforces E15's instrumentation-overhead bar (instrumented submit within
-// -max-obs-overhead of the no-op-registry run, a same-machine ratio) on
-// BENCH_obs.json, and -check-codec enforces E16's codec bars (binary at
-// 2x+ JSON encode+decode throughput and 30%+ smaller events, both
-// same-machine ratios, plus structural round-trip and node-free cache-hit
-// checks) on BENCH_codec.json, and -check-dist enforces E17's
-// distributed-operator invariants (partition-disjoint shards covering
-// the pair set, a distributed result set equal to the single-leader run,
-// streaming Dawid-Skene converging to the batch fit) on BENCH_dist.json.
+// The command doubles as the CI gate: every experiment checks its own
+// claims on its own measurements and notes a violation as "FAIL: ...";
+// -check exits non-zero when any selected experiment did. The checks are
+// structural (counts, bytes, booleans) or same-process ratios, immune to
+// machine speed. Absolute submit throughput is not gated here — the
+// repo benchmark (BENCHMARK.json, parent vs change on one box) does that.
 //
 // Usage:
 //
 //	reprowd-bench                 # run everything at full scale
 //	reprowd-bench -exp e4,e5      # selected experiments
-//	reprowd-bench -exp e11        # concurrent submit × sync policy, emits BENCH_submit.json
-//	reprowd-bench -exp e12        # restart replay vs history length, emits BENCH_recovery.json
-//	reprowd-bench -exp e13        # follower catch-up + steady-state lag, emits BENCH_repl.json
-//	reprowd-bench -exp e14        # gateway routing + read fan-out, emits BENCH_gate.json
-//	reprowd-bench -exp e15        # instrumentation overhead, emits BENCH_obs.json
-//	reprowd-bench -exp e16        # binary codec vs JSON + read cache, emits BENCH_codec.json
-//	reprowd-bench -exp e17        # distributed crowd join over 4 leaders, emits BENCH_dist.json
 //	reprowd-bench -quick          # small workloads (seconds, not minutes)
 //	reprowd-bench -seed 7         # change the simulation seed
-//	reprowd-bench -quick -exp e11,e12,e13,e14,e15,e16,e17 -baseline ci/BENCH_baseline.json \
-//	    -check-recovery -check-repl -check-gate -check-obs -check-codec -check-dist
+//	reprowd-bench -quick -exp e11,e12,e13,e14,e15,e16,e17 -out bench-out -check
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/exp"
@@ -58,29 +33,12 @@ import (
 
 func main() {
 	var (
-		expFlag = flag.String("exp", "all", "comma-separated experiment ids (e1..e12) or 'all'")
+		expFlag = flag.String("exp", "all", "comma-separated experiment ids (e1..e17) or 'all'")
 		seed    = flag.Int64("seed", 20160903, "simulation seed")
 		quick   = flag.Bool("quick", false, "run reduced workloads")
 		outDir  = flag.String("out", ".", "directory for machine-readable results (BENCH_*.json)")
-
-		baseline = flag.String("baseline", "",
-			"baseline BENCH_submit.json to gate against; requires e11 in -exp")
-		maxRegress = flag.Float64("max-regress", 0.30,
-			"fraction of baseline ops/s a scenario may lose before -baseline fails the run")
-		checkRecovery = flag.Bool("check-recovery", false,
-			"fail unless BENCH_recovery.json shows snapshot restarts bounded by the checkpoint interval; requires e12 in -exp")
-		checkRepl = flag.Bool("check-repl", false,
-			"fail unless BENCH_repl.json shows snapshot-bootstrapped catch-up and a byte-identical follower; requires e13 in -exp")
-		checkGate = flag.Bool("check-gate", false,
-			"fail unless BENCH_gate.json shows partition-disjoint writes, follower-served reads, and gateway reads byte-identical to leader reads; requires e14 in -exp")
-		checkObs = flag.Bool("check-obs", false,
-			"fail unless BENCH_obs.json shows instrumented submit throughput within -max-obs-overhead of the no-op-registry run; requires e15 in -exp")
-		maxObsOverhead = flag.Float64("max-obs-overhead", 0.05,
-			"fraction of bare throughput the instrumented run may lose before -check-obs fails")
-		checkCodec = flag.Bool("check-codec", false,
-			"fail unless BENCH_codec.json shows the binary codec at 2x+ JSON encode+decode throughput, 30%+ smaller events, and cache hits touching no node; requires e16 in -exp")
-		checkDist = flag.Bool("check-dist", false,
-			"fail unless BENCH_dist.json shows partition-disjoint shards, a distributed result set equal to the single-leader run, and streaming Dawid-Skene matching the batch fit; requires e17 in -exp")
+		check   = flag.Bool("check", false,
+			"exit non-zero if any selected experiment reports a failed gate (a FAIL note)")
 	)
 	flag.Parse()
 
@@ -116,139 +74,16 @@ func main() {
 			continue
 		}
 		fmt.Println(res.Format())
-	}
-
-	if *baseline != "" {
-		if err := gateSubmit(*outDir, *baseline, *maxRegress); err != nil {
-			fmt.Fprintf(os.Stderr, "reprowd-bench: baseline gate: %v\n", err)
-			failed = true
-		} else {
-			fmt.Printf("baseline gate: ops/s within %.0f%% of %s\n", *maxRegress*100, *baseline)
-		}
-	}
-	if *checkRecovery {
-		if err := gateRecovery(*outDir); err != nil {
-			fmt.Fprintf(os.Stderr, "reprowd-bench: recovery gate: %v\n", err)
-			failed = true
-		} else {
-			fmt.Println("recovery gate: snapshot restart bounded by checkpoint interval")
-		}
-	}
-	if *checkRepl {
-		if err := gateRepl(*outDir); err != nil {
-			fmt.Fprintf(os.Stderr, "reprowd-bench: replication gate: %v\n", err)
-			failed = true
-		} else {
-			fmt.Println("replication gate: snapshot-bootstrapped catch-up, byte-identical follower")
-		}
-	}
-	if *checkGate {
-		if err := gateGateway(*outDir); err != nil {
-			fmt.Fprintf(os.Stderr, "reprowd-bench: gateway gate: %v\n", err)
-			failed = true
-		} else {
-			fmt.Println("gateway gate: partition-disjoint writes, follower-served byte-identical reads")
-		}
-	}
-	if *checkObs {
-		if err := gateObs(*outDir, *maxObsOverhead); err != nil {
-			fmt.Fprintf(os.Stderr, "reprowd-bench: observability gate: %v\n", err)
-			failed = true
-		} else {
-			fmt.Printf("observability gate: instrumented submit within %.0f%% of no-op registry\n", *maxObsOverhead*100)
-		}
-	}
-	if *checkCodec {
-		if err := gateCodec(*outDir); err != nil {
-			fmt.Fprintf(os.Stderr, "reprowd-bench: codec gate: %v\n", err)
-			failed = true
-		} else {
-			fmt.Println("codec gate: binary 2x+ encode+decode throughput, 30%+ smaller events, cache hits node-free")
-		}
-	}
-	if *checkDist {
-		if err := gateDist(*outDir); err != nil {
-			fmt.Fprintf(os.Stderr, "reprowd-bench: distributed-join gate: %v\n", err)
-			failed = true
-		} else {
-			fmt.Println("distributed-join gate: disjoint shards, single-leader-equivalent results, incremental quality matches batch")
+		if *check {
+			for _, note := range res.Notes {
+				if strings.HasPrefix(note, "FAIL") {
+					fmt.Fprintf(os.Stderr, "reprowd-bench: %s: gate failed: %s\n", id, note)
+					failed = true
+				}
+			}
 		}
 	}
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// gateDist enforces the distributed-operator invariants on the freshly
-// written BENCH_dist.json.
-func gateDist(outDir string) error {
-	records, err := exp.LoadDistRecords(filepath.Join(outDir, "BENCH_dist.json"))
-	if err != nil {
-		return fmt.Errorf("load distributed-join records (did -exp include e17?): %w", err)
-	}
-	return exp.CheckDist(records)
-}
-
-// gateCodec enforces the binary-codec and read-cache bars on the freshly
-// written BENCH_codec.json.
-func gateCodec(outDir string) error {
-	records, err := exp.LoadCodecRecords(filepath.Join(outDir, "BENCH_codec.json"))
-	if err != nil {
-		return fmt.Errorf("load codec records (did -exp include e16?): %w", err)
-	}
-	return exp.CheckCodec(records)
-}
-
-// gateSubmit compares the freshly written BENCH_submit.json against the
-// committed baseline.
-func gateSubmit(outDir, baselinePath string, maxRegress float64) error {
-	current, err := exp.LoadSubmitRecords(filepath.Join(outDir, "BENCH_submit.json"))
-	if err != nil {
-		return fmt.Errorf("load current run (did -exp include e11?): %w", err)
-	}
-	base, err := exp.LoadSubmitRecords(baselinePath)
-	if err != nil {
-		return fmt.Errorf("load baseline: %w", err)
-	}
-	return exp.CheckSubmitRegression(current, base, maxRegress)
-}
-
-// gateRecovery enforces the bounded-replay invariant on the freshly
-// written BENCH_recovery.json.
-func gateRecovery(outDir string) error {
-	records, err := exp.LoadRecoveryRecords(filepath.Join(outDir, "BENCH_recovery.json"))
-	if err != nil {
-		return fmt.Errorf("load recovery records (did -exp include e12?): %w", err)
-	}
-	return exp.CheckRecoveryBounded(records)
-}
-
-// gateRepl enforces the replication invariants on the freshly written
-// BENCH_repl.json.
-func gateRepl(outDir string) error {
-	records, err := exp.LoadReplRecords(filepath.Join(outDir, "BENCH_repl.json"))
-	if err != nil {
-		return fmt.Errorf("load replication records (did -exp include e13?): %w", err)
-	}
-	return exp.CheckReplBounded(records)
-}
-
-// gateGateway enforces the ring-routing invariants on the freshly
-// written BENCH_gate.json.
-func gateGateway(outDir string) error {
-	records, err := exp.LoadGateRecords(filepath.Join(outDir, "BENCH_gate.json"))
-	if err != nil {
-		return fmt.Errorf("load gateway records (did -exp include e14?): %w", err)
-	}
-	return exp.CheckGateRouting(records)
-}
-
-// gateObs enforces the instrumentation-overhead bar on the freshly
-// written BENCH_obs.json.
-func gateObs(outDir string, maxOverhead float64) error {
-	records, err := exp.LoadObsRecords(filepath.Join(outDir, "BENCH_obs.json"))
-	if err != nil {
-		return fmt.Errorf("load observability records (did -exp include e15?): %w", err)
-	}
-	return exp.CheckObsOverhead(records, maxOverhead)
 }

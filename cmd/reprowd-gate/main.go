@@ -54,6 +54,10 @@ import (
 	"repro/internal/sim"
 )
 
+// topologyReloadInterval is how often the -topology file's mtime is
+// checked.
+const topologyReloadInterval = 2 * time.Second
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":7080", "listen address")
@@ -63,14 +67,10 @@ func main() {
 			"inline topology: comma-separated name=url pairs (alternative to -topology)")
 		maxLag = flag.Uint64("max-lag", gate.DefaultMaxLag,
 			"max replication lag (events) at which a follower still serves reads")
-		readCache = flag.Bool("read-cache", true,
-			"serve repeated single-partition reads from the frontier-tagged cache until the partition's journal frontier advances")
 		maxBodyBuffer = flag.Int64("max-body-buffer", gate.DefaultMaxBodyBytes,
 			"max request-body bytes buffered for retry-on-successor replay; bodies over this are rejected with 413 (raise for very large AddTasks batches)")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond,
 			"how often every node's /api/healthz is probed")
-		reloadInterval = flag.Duration("topology-reload-interval", 2*time.Second,
-			"how often the -topology file's mtime is checked (0 disables the file watch)")
 		logLevel = flag.String("log-level", "info",
 			"log verbosity: debug, info, warn, error")
 		logFormat = flag.String("log-format", "text",
@@ -116,7 +116,7 @@ func main() {
 		MaxLag:         *maxLag,
 		ProbeInterval:  *probeInterval,
 		Metrics:        reg,
-		ReadCache:      *readCache,
+		ReadCache:      true,
 		MaxBodyBytes:   *maxBodyBuffer,
 		AutoFailover:   *failover,
 		FailoverAfter:  *failoverAfter,
@@ -131,8 +131,8 @@ func main() {
 	}
 	defer g.Close()
 
-	if *topoPath != "" && *reloadInterval > 0 {
-		go watchTopology(g, *topoPath, *reloadInterval, logger)
+	if *topoPath != "" {
+		go watchTopology(g, *topoPath, logger)
 	}
 
 	// The gateway handles the whole path space itself; /metrics is the
@@ -142,7 +142,7 @@ func main() {
 	mux.Handle("/", g)
 
 	logger.Info("reprowd-gate listening", "addr", *addr, "nodes", len(top.Nodes),
-		"max_lag", *maxLag, "probe_interval", probeInterval.String(), "read_cache", *readCache)
+		"max_lag", *maxLag, "probe_interval", probeInterval.String())
 	logger.Info("routes: the full platform REST surface, ring-routed | GET /api/gate/stats | GET/POST /api/gate/topology | GET /api/healthz | GET /metrics")
 
 	stop := make(chan os.Signal, 1)
@@ -203,12 +203,12 @@ func parseNodes(inline string) (gate.Topology, error) {
 // file that fails to parse (or to validate) is logged and skipped — the
 // gateway keeps routing on its last good membership; never take down the
 // front door over a half-edited config.
-func watchTopology(g *gate.Gateway, path string, every time.Duration, logger *slog.Logger) {
+func watchTopology(g *gate.Gateway, path string, logger *slog.Logger) {
 	var last time.Time
 	if fi, err := os.Stat(path); err == nil {
 		last = fi.ModTime()
 	}
-	for range time.Tick(every) {
+	for range time.Tick(topologyReloadInterval) {
 		fi, err := os.Stat(path)
 		if err != nil || !fi.ModTime().After(last) {
 			continue

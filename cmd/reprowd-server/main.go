@@ -18,15 +18,10 @@
 // Journal writes are group-committed: concurrent requests enqueue their
 // events and a single committer flushes them as one storage batch with
 // one fsync, so -sync always no longer serializes submissions behind
-// per-event disk latency. Two knobs tune the pipeline:
-//
-//   - -journal-max-batch caps how many events one flush carries
-//     (default 1024).
-//   - -journal-flush-interval makes the committer wait that long after
-//     the first pending event so more requests join the group — higher
-//     per-request latency, larger batches. The default 0 flushes
-//     immediately; under load the queue that builds up behind one fsync
-//     already forms the next group.
+// per-event disk latency. The committer flushes immediately; under load
+// the queue that builds up behind one fsync already forms the next group
+// (up to 1024 events), and the journal's adaptive accumulation window
+// widens it when the disk is the bottleneck.
 //
 // The journal is bounded by a snapshot checkpointer: a background
 // goroutine materializes the committed event stream and periodically
@@ -73,7 +68,6 @@
 //
 //	reprowd-server -addr :7070
 //	reprowd-server -addr :7070 -data /var/lib/reprowd -sync batch
-//	reprowd-server -data /var/lib/reprowd -journal-flush-interval 2ms
 //	reprowd-server -data /var/lib/reprowd -snapshot-every 10000
 //	reprowd-server -data /var/lib/reprowd -break-stale-lock   # after a kill -9
 //	reprowd-server -addr :7071 -follow http://leader:7070 -data /var/lib/reprowd-f1
@@ -98,14 +92,11 @@ import (
 	"repro/internal/repl"
 	"repro/internal/sim"
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":7070", "listen address")
-		virtualTime = flag.Bool("virtual-time", false,
-			"use the deterministic virtual clock instead of wall time (for reproducible demos)")
+		addr    = flag.String("addr", ":7070", "listen address")
 		dataDir = flag.String("data", "",
 			"journal directory; empty runs in-memory only (state dies with the process)")
 		syncMode = flag.String("sync", "always",
@@ -114,14 +105,6 @@ func main() {
 			"take over a data directory whose previous owner died without cleanup")
 		leaseTTL = flag.Duration("lease-ttl", 0,
 			"how long a handed-out task stays reserved for its worker before the scheduler reclaims it (0 = default 10m)")
-		shards = flag.Int("shards", 0,
-			"scheduler lock stripes (0 = default 16)")
-		journalMaxBatch = flag.Int("journal-max-batch", 0,
-			"max events per journal group-commit flush (0 = default 1024)")
-		journalFlushInterval = flag.Duration("journal-flush-interval", 0,
-			"how long the journal committer waits for more events before flushing a group (0 = flush immediately)")
-		journalCodec = flag.String("journal-codec", "binary",
-			"encoding for new journal values: binary (CRC-framed, default) or json (legacy); replay always reads both")
 		snapshotEvery = flag.Uint64("snapshot-every", 4096,
 			"checkpoint the journal into a snapshot after this many events (0 disables the event trigger)")
 		snapshotBytes = flag.Int64("snapshot-bytes", 16<<20,
@@ -157,21 +140,9 @@ func main() {
 		fatal(logger, err)
 	}
 
-	var jsonEvents bool
-	switch *journalCodec {
-	case "binary":
-	case "json":
-		jsonEvents = true
-	default:
-		fatal(logger, fmt.Errorf("unknown -journal-codec %q (want binary or json)", *journalCodec))
-	}
-
 	// The one place this binary binds real time and real randomness; every
 	// package below takes them injected (the clocklint contract).
-	var clock vclock.Clock = sim.RealClock()
-	if *virtualTime {
-		clock = vclock.NewVirtual()
-	}
+	clock := sim.RealClock()
 	rnd := sim.RealRand()
 
 	reg := obs.New()
@@ -187,7 +158,6 @@ func main() {
 	opts := platform.EngineOptions{
 		Clock:    clock,
 		LeaseTTL: *leaseTTL,
-		Shards:   *shards,
 		OwnsID:   ownsID,
 		Metrics:  reg,
 	}
@@ -223,18 +193,12 @@ func main() {
 			Clock:     clock,
 			Rand:      rnd,
 			LeaseTTL:  *leaseTTL,
-			Shards:    *shards,
 			DataDir:   *dataDir,
 			Metrics:   reg,
 			Storage: storage.Options{
 				Sync:           policy,
 				SyncInterval:   50 * time.Millisecond,
 				BreakStaleLock: *breakStaleLock,
-			},
-			Journal: platform.JournalOptions{
-				MaxBatch:      *journalMaxBatch,
-				FlushInterval: *journalFlushInterval,
-				JSONEvents:    jsonEvents,
 			},
 			// A promoted follower is a full leader: its seeded journal
 			// keeps checkpointing on the same cadence flags.
@@ -286,12 +250,7 @@ func main() {
 			fatal(logger, err)
 		}
 		defer db.Close()
-		journal, err = platform.OpenJournalOpts(db, platform.JournalOptions{
-			MaxBatch:      *journalMaxBatch,
-			FlushInterval: *journalFlushInterval,
-			Metrics:       reg,
-			JSONEvents:    jsonEvents,
-		})
+		journal, err = platform.OpenJournalOpts(db, platform.JournalOptions{Metrics: reg})
 		if err != nil {
 			fail(err)
 		}
@@ -307,8 +266,7 @@ func main() {
 		}
 		logger.Info("journal open", "dir", *dataDir, "events", journal.Len(),
 			"replayed", journal.Len()-replayStart, "snapshot_seq", replayStart,
-			"sync", *syncMode, "max_batch", *journalMaxBatch,
-			"flush_interval", journalFlushInterval.String())
+			"sync", *syncMode)
 	}
 
 	engine, err := platform.NewEngineOpts(opts)
@@ -343,8 +301,7 @@ func main() {
 	if *dataDir != "" {
 		persisted = *dataDir
 	}
-	logger.Info("reprowd platform listening", "addr", *addr,
-		"virtual_time", *virtualTime, "state", persisted)
+	logger.Info("reprowd platform listening", "addr", *addr, "state", persisted)
 	logger.Info("routes: PUT /api/projects | POST /api/projects/{id}/tasks | POST /api/projects/{id}/newtask?worker=W | POST /api/tasks/{id}/runs | GET /api/projects/{id}/stats | GET /api/projects/{id}/queue | GET /api/healthz | GET /metrics")
 	if node != nil {
 		logger.Info("replication: GET /api/repl/stream | GET /api/repl/snapshot | GET /api/repl/status (start a replica with -follow)")

@@ -58,7 +58,7 @@ func E12SnapshotRecovery(cfg Config) (Result, error) {
 		res.Notes = append(res.Notes, "FAIL: "+err.Error())
 	} else {
 		res.Notes = append(res.Notes,
-			"snapshot-mode replay is bounded by the checkpoint interval; journal-only replay is O(history)")
+			"gate passed: snapshot-mode replay is bounded by the checkpoint interval; journal-only replay is O(history)")
 	}
 	if cfg.OutDir != "" {
 		buf, err := json.MarshalIndent(records, "", "  ")

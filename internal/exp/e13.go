@@ -23,8 +23,7 @@ import (
 // absorbs concurrent submit load, and finish byte-identical to the
 // leader's exported state.
 //
-// With Config.OutDir set, the record is also written as BENCH_repl.json
-// for the CI replication gate (reprowd-bench -check-repl).
+// With Config.OutDir set, the record is also written as BENCH_repl.json.
 func E13Replication(cfg Config) (Result, error) {
 	history, interval, steady := 10000, 1000, 3000
 	if cfg.Quick {
@@ -54,7 +53,7 @@ func E13Replication(cfg Config) (Result, error) {
 		res.Notes = append(res.Notes, "FAIL: "+err.Error())
 	} else {
 		res.Notes = append(res.Notes,
-			"follower catch-up rides snapshot + tail (bounded by the checkpoint interval) and converges byte-identically under load")
+			"gate passed: follower catch-up rides snapshot + tail (bounded by the checkpoint interval) and converges byte-identically under load")
 	}
 	if cfg.OutDir != "" {
 		buf, err := json.MarshalIndent([]ReplRecord{rec}, "", "  ")

@@ -25,8 +25,7 @@ import (
 // reads must be served entirely by the followers while returning results
 // byte-identical to a direct leader read.
 //
-// With Config.OutDir set, the record is also written as BENCH_gate.json
-// for the CI gateway gate (reprowd-bench -check-gate).
+// With Config.OutDir set, the record is also written as BENCH_gate.json.
 func E14Gateway(cfg Config) (Result, error) {
 	perPartition := 3000
 	if cfg.Quick {
@@ -55,7 +54,7 @@ func E14Gateway(cfg Config) (Result, error) {
 		res.Notes = append(res.Notes, "FAIL: "+err.Error())
 	} else {
 		res.Notes = append(res.Notes,
-			"project-disjoint writes land on their ring owners and scale across partitions; reads ride the followers and match direct leader reads byte for byte")
+			"gate passed: project-disjoint writes land on their ring owners and scale across partitions; reads ride the followers and match direct leader reads byte for byte")
 	}
 	if cfg.OutDir != "" {
 		buf, err := json.MarshalIndent([]GateRecord{rec}, "", "  ")

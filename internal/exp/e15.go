@@ -26,8 +26,7 @@ import (
 // bounds the true cost even when a noisy neighbor taints part of the
 // invocation.
 //
-// With Config.OutDir set, the rows are also written as BENCH_obs.json
-// for the CI gate (reprowd-bench -check-obs).
+// With Config.OutDir set, the rows are also written as BENCH_obs.json.
 func E15ObsOverhead(cfg Config) (Result, error) {
 	// Measurement windows must be long enough that scheduler and GC noise
 	// amortizes: at a few hundred thousand submits/s, a few thousand runs
@@ -94,8 +93,14 @@ func E15ObsOverhead(cfg Config) (Result, error) {
 	}
 
 	res.Notes = append(res.Notes,
-		"overhead = 1 - instrumented/bare of the cleanest adjacent pair (sync=never so the comparison is CPU-bound); the observability acceptance bar is <= 5% on the 1-goroutine row",
+		"overhead = 1 - instrumented/bare of the cleanest adjacent pair (sync=never so the comparison is CPU-bound)",
 		"concurrent rows are informational: they measure group-commit scheduling dynamics, which swing either way run to run")
+	if err := CheckObsOverhead(records); err != nil {
+		res.Notes = append(res.Notes, "FAIL: "+err.Error())
+	} else {
+		res.Notes = append(res.Notes, fmt.Sprintf(
+			"gate passed: instrumented submit within %.0f%% of the no-op registry on the 1-goroutine row", maxObsOverhead*100))
+	}
 	if cfg.OutDir != "" {
 		buf, err := json.MarshalIndent(records, "", "  ")
 		if err != nil {

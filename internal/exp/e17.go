@@ -35,8 +35,7 @@ import (
 // batch fit over the same votes — plus the wall-clock scale ratio,
 // recorded but (like E14's) not gated on machine speed.
 //
-// With Config.OutDir set, the record is also written as BENCH_dist.json
-// for the CI gate (reprowd-bench -check-dist).
+// With Config.OutDir set, the record is also written as BENCH_dist.json.
 func E17DistOps(cfg Config) (Result, error) {
 	entities, pairsWanted, workers := 64, 4000, 5
 	if cfg.Quick {
@@ -156,7 +155,7 @@ func E17DistOps(cfg Config) (Result, error) {
 		res.Notes = append(res.Notes, "FAIL: "+err.Error())
 	} else {
 		res.Notes = append(res.Notes,
-			"shards land disjoint on their ring owners, the distributed match set equals the single-leader run, and streaming Dawid-Skene converges to the batch fit")
+			"gate passed: shards land disjoint on their ring owners, the distributed match set equals the single-leader run, and streaming Dawid-Skene converges to the batch fit")
 	}
 	if cfg.OutDir != "" {
 		buf, err := json.MarshalIndent([]DistRecord{rec}, "", "  ")

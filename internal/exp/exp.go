@@ -1,7 +1,8 @@
-// Package exp is the experiment harness: one function per experiment in
-// DESIGN.md's index (E1–E10), each regenerating the corresponding figure,
-// table, or claim of the paper and returning a printable result table.
-// EXPERIMENTS.md records the measured outcomes against the paper's claims.
+// Package exp is the experiment harness: one function per experiment
+// (E1–E10 each regenerate a figure, table, or claim of the paper; E11–E17
+// each measure and gate one platform subsystem), returning a printable
+// result table. docs/ARCHITECTURE.md § "Experiments and gates" is the
+// index.
 package exp
 
 import (

@@ -363,6 +363,13 @@ func TestGatewayFrontierReadCache(t *testing.T) {
 		return total
 	}
 
+	// The store is SyncNever, so acks run ahead of the committer: fence
+	// it, or the priming reads could tag a frontier the next probe sees
+	// move — an invalidation this test did not cause.
+	if err := l1.j.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+
 	// Prime the cache: the first stats and task-list reads must miss and
 	// be forwarded to the leader.
 	before := g.Snapshot().Stats

@@ -8,9 +8,10 @@ import (
 )
 
 // Ablation A3 support: operator cost at benchmark scale. The interesting
-// numbers (crowd pairs, deduction rates) are in EXPERIMENTS.md E4/E5; these
-// measure the orchestration overhead of running the operators end to end
-// on the simulated stack.
+// numbers (crowd pairs, deduction rates) come from experiments E4/E5
+// (docs/ARCHITECTURE.md § "Experiments and gates"); these measure the
+// orchestration overhead of running the operators end to end on the
+// simulated stack.
 
 func benchCorpusRecords(entities int) ([]Record, simdata.ERCorpus) {
 	corpus := simdata.Restaurants(simdata.ERConfig{

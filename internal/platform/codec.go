@@ -18,14 +18,12 @@ package platform
 //	+-------+---------+------+--------+--------------------+---------+
 //
 // The CRC (Castagnoli, matching internal/storage's frames) covers the
-// payload only; the fixed header is validated structurally. The magic
-// byte 0xB1 can never begin a JSON document, so a journal may hold JSON
-// values (written by older builds) and binary frames side by side and
-// replay dispatches per value on the first byte — that is the whole
-// migration story: read both, write binary. The version byte names the
-// payload schema; a frame with an unknown version fails decoding with
-// ErrFrameVersion rather than being misread, so a future schema bump is
-// a refusal, never silent corruption.
+// payload only; the fixed header is validated structurally. A value
+// that does not begin with the magic byte 0xB1 is corruption
+// (ErrEventCorrupt) — there is one format and no second decoder. The
+// version byte names the payload schema; a frame with an unknown version
+// fails decoding with ErrFrameVersion rather than being misread, so a
+// future schema bump is a refusal, never silent corruption.
 //
 // Frame kinds:
 //
@@ -39,10 +37,10 @@ package platform
 // and times are a presence flag + unix seconds + nanoseconds + UTC
 // offset. Decoding a time rebuilds exactly what parsing the RFC 3339
 // JSON form would have: offset 0 is UTC, anything else a fixed zone —
-// so JSON-replayed and binary-replayed engines export byte-identical
-// snapshots. Maps keep the nil/empty distinction (JSON null vs {}) and
-// encode entries in sorted key order so equal events encode to equal
-// bytes.
+// so a decoded event renders the same JSON the original did
+// (TestEventCodecJSONEquivalent). Maps keep the nil/empty distinction
+// (JSON null vs {}) and encode entries in sorted key order so equal
+// events encode to equal bytes.
 
 import (
 	"bufio"
@@ -58,9 +56,8 @@ import (
 )
 
 const (
-	// frameMagic begins every binary frame. It must never equal '{'
-	// (0x7B) or any byte that can begin a JSON value the journal ever
-	// wrote, so mixed-format journals stay unambiguous.
+	// frameMagic begins every binary frame; a value that starts with
+	// anything else is rejected as corrupt.
 	frameMagic byte = 0xB1
 	// frameVersion is the payload schema version this build writes.
 	frameVersion byte = 1
@@ -78,8 +75,8 @@ const (
 	maxFramePayload = 1 << 28
 )
 
-// FrameContentType is the media type the replication endpoints use when
-// a peer negotiates binary frames instead of JSONL (see internal/repl).
+// FrameContentType is the media type of the replication endpoints'
+// responses: binary frames, the only wire (see internal/repl).
 const FrameContentType = "application/x-reprowd-frame"
 
 var (
@@ -165,12 +162,6 @@ func splitFrame(data []byte) (kind byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrEventCorrupt)
 	}
 	return kind, payload, nil
-}
-
-// binaryEventValue reports whether a journal value is a binary frame
-// (as opposed to a legacy JSON document).
-func binaryEventValue(val []byte) bool {
-	return len(val) > 0 && val[0] == frameMagic
 }
 
 // --- primitive encoders -----------------------------------------------

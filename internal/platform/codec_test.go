@@ -59,7 +59,7 @@ func codecSampleEvents() []Event {
 func TestEventCodecJSONEquivalent(t *testing.T) {
 	for i, ev := range codecSampleEvents() {
 		frame := appendEventFrame(nil, &ev)
-		if !binaryEventValue(frame) {
+		if frame[0] != frameMagic {
 			t.Fatalf("event %d: frame does not start with the codec magic", i)
 		}
 		got, err := decodeEventValue(frame)
@@ -144,88 +144,10 @@ func TestSnapshotFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalMixedFormatReplayByteIdentical is the migration acceptance
-// test: a journal whose prefix was written by the legacy JSON codec and
-// whose tail is binary (the exact state of a server upgraded in place)
-// must replay to state byte-identical both to the pre-restart live
-// engine and to a pure-JSON engine that ran the same workload.
-func TestJournalMixedFormatReplayByteIdentical(t *testing.T) {
-	mixedDir, jsonDir := t.TempDir(), t.TempDir()
-
-	// Phase 1: both journals speak JSON (the "old build").
-	mixed := openCodecEnv(t, mixedDir, true)
-	pure := openCodecEnv(t, jsonDir, true)
-	driveWorkload(t, mixed.e, 10)
-	driveWorkload(t, pure.e, 10)
-	mixed.close()
-	pure.close()
-
-	// Phase 2: the mixed journal is reopened by the "new build" (binary
-	// codec) and both engines run identical tail traffic.
-	mixed = openCodecEnv(t, mixedDir, false)
-	pure = openCodecEnv(t, jsonDir, true)
-	for _, env := range []*snapEnv{mixed, pure} {
-		p, _, err := env.e.FindProject("beta")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tasks, err := env.e.AddTasks(p.ID, []TaskSpec{
-			{ExternalID: "tail-0", Payload: map[string]string{"k": "v"}},
-			{ExternalID: "tail-1"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := env.e.Submit(tasks[0].ID, "wt", "tail"); err != nil {
-			t.Fatal(err)
-		}
-		if err := env.e.BanWorker(p.ID, "late-spammer"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	liveState := encodeEngineState(t, mixed.e)
-	mixed.close()
-	pure.close()
-
-	// The disk must actually hold both encodings, or this test is not
-	// testing migration at all.
-	db, err := storage.Open(mixedDir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nJSON, nBinary int
-	if err := db.Scan("j/", func(_ string, val []byte) bool {
-		switch {
-		case binaryEventValue(val):
-			nBinary++
-		case len(val) > 0 && val[0] == '{':
-			nJSON++
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-	if nJSON == 0 || nBinary == 0 {
-		t.Fatalf("journal is not mixed-format: %d JSON, %d binary values", nJSON, nBinary)
-	}
-
-	// Phase 3: recover both and compare everything byte for byte.
-	mixed2 := openCodecEnv(t, mixedDir, false)
-	pure2 := openCodecEnv(t, jsonDir, true)
-	gotMixed := encodeEngineState(t, mixed2.e)
-	gotPure := encodeEngineState(t, pure2.e)
-	if !bytes.Equal(gotMixed, liveState) {
-		t.Fatalf("mixed-format replay diverged from pre-restart state:\n live: %s\n  got: %s", liveState, gotMixed)
-	}
-	if !bytes.Equal(gotMixed, gotPure) {
-		t.Fatalf("mixed-format replay diverged from pure-JSON replay:\n json: %s\n  got: %s", gotPure, gotMixed)
-	}
-}
-
-// TestJournalCorruptFrameFailsRecovery: a damaged binary journal value —
-// bad CRC, short write, unrecognized encoding, future codec version —
-// must fail recovery with the typed error, never load partial state.
+// TestJournalCorruptFrameFailsRecovery: a damaged journal value — bad
+// CRC, short write, unrecognized encoding, a would-be legacy JSON event,
+// future codec version — must fail recovery with the typed error, never
+// load partial state.
 func TestJournalCorruptFrameFailsRecovery(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -243,6 +165,17 @@ func TestJournalCorruptFrameFailsRecovery(t *testing.T) {
 			val[0] = 0x00
 			return val
 		}, ErrEventCorrupt},
+		{"legacy-json", func(val []byte) []byte {
+			ev, err := decodeEventValue(val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return doc
+		}, ErrEventCorrupt},
 		{"future-version", func(val []byte) []byte {
 			val[1] = 99
 			return val
@@ -251,7 +184,7 @@ func TestJournalCorruptFrameFailsRecovery(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			env := openCodecEnv(t, dir, false)
+			env := openSnapEnv(t, dir, storage.SyncNever, false, nil)
 			driveWorkload(t, env.e, 4)
 			env.close()
 
@@ -269,7 +202,7 @@ func TestJournalCorruptFrameFailsRecovery(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("get %s: %v", key, err)
 			}
-			if !binaryEventValue(val) {
+			if val[0] != frameMagic {
 				t.Fatalf("expected a binary journal value at %s", key)
 			}
 			if err := db.Put(key, tc.corrupt(val)); err != nil {
@@ -287,54 +220,28 @@ func TestJournalCorruptFrameFailsRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer j.Close()
-			_, err = NewEngineOpts(EngineOptions{Clock: vclock.NewVirtual(), Journal: j})
+			e, err := NewEngineOpts(EngineOptions{Clock: vclock.NewVirtual(), Journal: j})
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("recovery over a %s frame: err = %v, want %v", tc.name, err, tc.want)
+			}
+			if e != nil {
+				t.Fatalf("recovery over a %s frame returned a partially loaded engine", tc.name)
 			}
 		})
 	}
 }
 
-// openCodecEnv is openSnapEnv with an explicit codec choice and no
-// checkpointer.
-func openCodecEnv(t *testing.T, dir string, jsonEvents bool) *snapEnv {
-	t.Helper()
-	db, err := storage.Open(dir, storage.Options{Sync: storage.SyncNever, BreakStaleLock: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournalOpts(db, JournalOptions{JSONEvents: jsonEvents})
-	if err != nil {
-		db.Close()
-		t.Fatal(err)
-	}
-	e, err := NewEngineOpts(EngineOptions{Clock: vclock.NewVirtual(), Journal: j})
-	if err != nil {
-		db.Close()
-		t.Fatal(err)
-	}
-	env := &snapEnv{dir: dir, db: db, j: j, e: e}
-	t.Cleanup(env.close)
-	return env
-}
-
-// BenchmarkReplay10k measures full-journal replay of 10k run events.
-// The binary variant exercises the shared-buffer scan + binary decode;
-// the json variant is the legacy path (per-event allocations + JSON
-// unmarshal) kept for comparison. Allocation counts are the point.
+// BenchmarkReplay10k measures full-journal replay of 10k run events
+// through the shared-buffer scan + binary decode. Allocation counts are
+// the point.
 func BenchmarkReplay10k(b *testing.B) {
-	b.Run("binary", func(b *testing.B) { benchReplay10k(b, false) })
-	b.Run("json", func(b *testing.B) { benchReplay10k(b, true) })
-}
-
-func benchReplay10k(b *testing.B, jsonEvents bool) {
 	dir := b.TempDir()
 	db, err := storage.Open(dir, storage.Options{Sync: storage.SyncNever})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	j, err := OpenJournalOpts(db, JournalOptions{JSONEvents: jsonEvents})
+	j, err := OpenJournal(db)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -165,11 +164,6 @@ type JournalOptions struct {
 	// latency histogram, queue depth, flush counters). Nil disables
 	// instrumentation at zero hot-path cost.
 	Metrics *obs.Registry
-	// JSONEvents switches the journal back to the legacy JSON value
-	// encoding. The default writes binary event frames (see codec.go);
-	// replay reads both regardless, so the switch only affects new
-	// appends — existing journals migrate transparently either way.
-	JSONEvents bool
 }
 
 func (o JournalOptions) withDefaults() JournalOptions {
@@ -426,22 +420,11 @@ func (j *Journal) sampleCodec() bool {
 	return j.mEncode != nil && j.codecTick.Add(1)&7 == 0
 }
 
-// encodeEvent encodes ev as one journal value under the configured codec.
-// For the default binary codec the returned bytes are backed by a pooled
-// buffer, also returned; the caller releases it with putFrameBuf once the
-// value has been copied onward (storage batches copy on Put). A nil
-// pooled buffer (JSON codec) needs no release.
+// encodeEvent encodes ev as one journal value, a binary event frame (see
+// codec.go). The returned bytes are backed by a pooled buffer, also
+// returned; the caller releases it with putFrameBuf once the value has
+// been copied onward (storage batches copy on Put).
 func (j *Journal) encodeEvent(ev *Event) ([]byte, *[]byte, error) {
-	if j.opts.JSONEvents {
-		buf, err := json.Marshal(ev)
-		if err == nil && len(buf) > storage.MaxValueLen {
-			err = storage.ErrValTooLarge
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("platform: journal encode: %w", err)
-		}
-		return buf, nil, nil
-	}
 	var start time.Time
 	timed := j.sampleCodec()
 	if timed {
@@ -996,12 +979,11 @@ func (j *Journal) ReplayFrom(start uint64, fn func(Event) error) error {
 //
 // Values are delivered through the store's shared-buffer scan — one
 // decode buffer reused across all events instead of two allocations per
-// event — which is safe because both decoders copy everything out
-// (binary strings via string(), JSON via encoding/json). Each value is
-// dispatched on its first byte: a binary event frame starts with the
-// codec magic, a legacy JSON value with '{'; anything else is corruption
-// and fails recovery with a typed error rather than applying a partial
-// or misread event.
+// event — which is safe because the decoder copies everything out
+// (strings via string()). Every value must be a binary event frame; one
+// that does not start with the codec magic, or fails its checksum, is
+// corruption and fails recovery with a typed error rather than applying
+// a partial or misread event.
 func (j *Journal) replayFrom(start uint64, fn func(seq uint64, ev Event, size int) error) error {
 	var ferr error
 	// Sequence numbers at or above start must be dense (flush-time
@@ -1028,19 +1010,12 @@ func (j *Journal) replayFrom(start uint64, fn func(seq uint64, ev Event, size in
 		}
 		next, haveNext = seq+1, true
 		var ev Event
-		switch {
-		case binaryEventValue(val):
-			if j.sampleCodec() {
-				t0 := obs.Now()
-				ev, ferr = decodeEventValue(val)
-				j.mDecode.Observe(obs.Since(t0).Seconds())
-			} else {
-				ev, ferr = decodeEventValue(val)
-			}
-		case len(val) > 0 && val[0] == '{':
-			ferr = json.Unmarshal(val, &ev)
-		default:
-			ferr = fmt.Errorf("%w: unrecognized value encoding", ErrEventCorrupt)
+		if j.sampleCodec() {
+			t0 := obs.Now()
+			ev, ferr = decodeEventValue(val)
+			j.mDecode.Observe(obs.Since(t0).Seconds())
+		} else {
+			ev, ferr = decodeEventValue(val)
 		}
 		if ferr != nil {
 			ferr = fmt.Errorf("platform: journal decode %s: %w", key, ferr)

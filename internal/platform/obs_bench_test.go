@@ -13,7 +13,7 @@ import (
 // with a nil registry (every metric site a branch-only no-op) and with a
 // live registry recording the full histogram/counter surface. The
 // acceptance bar — instrumented within 5% of bare — is enforced in CI by
-// E15/-check-obs (reprowd-bench emits BENCH_obs.json next to E11's
+// E15 under reprowd-bench -check (it emits BENCH_obs.json next to E11's
 // BENCH_submit.json); these benchmarks are the same comparison in `go
 // test -bench` form for local work:
 //

@@ -3,7 +3,6 @@ package repl
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -303,7 +302,6 @@ func (f *Follower) fetchSnapshot() (data []byte, seq uint64, ok bool, err error)
 		return nil, 0, false, err
 	}
 	req.Header.Set(obs.HeaderTrace, f.traceID)
-	req.Header.Set("Accept", platform.FrameContentType)
 	resp, err := f.hc.Do(req)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("repl: fetch snapshot: %w", err)
@@ -317,6 +315,9 @@ func (f *Follower) fetchSnapshot() (data []byte, seq uint64, ok bool, err error)
 	default:
 		return nil, 0, false, fmt.Errorf("repl: fetch snapshot: HTTP %d", resp.StatusCode)
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != platform.FrameContentType {
+		return nil, 0, false, fmt.Errorf("repl: fetch snapshot: Content-Type %q is not the frame wire", ct)
+	}
 	if err := f.checkWireEpoch(resp.Header.Get(HeaderReplEpoch)); err != nil {
 		return nil, 0, false, err
 	}
@@ -324,14 +325,11 @@ func (f *Follower) fetchSnapshot() (data []byte, seq uint64, ok bool, err error)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("repl: read snapshot: %w", err)
 	}
-	if resp.Header.Get("Content-Type") == platform.FrameContentType {
-		// Negotiated binary wire: the snapshot arrives CRC-framed, so a
-		// torn or corrupted transfer fails here instead of producing a
-		// replica restored from garbage.
-		data, err = platform.DecodeSnapshotFrame(data)
-		if err != nil {
-			return nil, 0, false, fmt.Errorf("repl: snapshot frame: %w", err)
-		}
+	// The snapshot arrives CRC-framed, so a torn or corrupted transfer
+	// fails here instead of producing a replica restored from garbage.
+	data, err = platform.DecodeSnapshotFrame(data)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("repl: snapshot frame: %w", err)
 	}
 	if hdr := resp.Header.Get(HeaderSnapshotSeq); hdr != "" {
 		seq, _ = strconv.ParseUint(hdr, 10, 64)
@@ -457,7 +455,6 @@ func (f *Follower) poll() (int, error) {
 		return 0, err
 	}
 	req.Header.Set(obs.HeaderTrace, f.traceID)
-	req.Header.Set("Accept", platform.FrameContentType)
 	resp, err := f.hc.Do(req)
 	if err != nil {
 		return 0, err
@@ -472,6 +469,12 @@ func (f *Follower) poll() (int, error) {
 		io.Copy(io.Discard, resp.Body)
 		return 0, fmt.Errorf("repl: stream: HTTP %d", resp.StatusCode)
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != platform.FrameContentType {
+		// Not a leader speaking the frame wire: a failed poll, retried
+		// with backoff — never a guess at some other body format.
+		io.Copy(io.Discard, resp.Body)
+		return 0, fmt.Errorf("repl: stream: Content-Type %q is not the frame wire", ct)
+	}
 	if err := f.checkWireEpoch(resp.Header.Get(HeaderReplEpoch)); err != nil {
 		io.Copy(io.Discard, resp.Body)
 		return 0, err
@@ -485,8 +488,8 @@ func (f *Follower) poll() (int, error) {
 	// should not report a healthy stream as down that long.
 	f.recordProgress(frontier, 0)
 	applied := 0
-	// applyOne is the per-event step shared by both wire decoders: enforce
-	// contiguity, apply through the replay path, advance the cursor.
+	// applyOne is the per-event step: enforce contiguity, apply through
+	// the replay path, advance the cursor.
 	applyOne := func(seq uint64, ev platform.Event) error {
 		f.mu.Lock()
 		want := f.appliedSeq
@@ -513,37 +516,22 @@ func (f *Follower) poll() (int, error) {
 		applied++
 		return nil
 	}
-	if resp.Header.Get("Content-Type") == platform.FrameContentType {
-		// Negotiated binary wire: CRC-framed events, decoded into one
-		// scratch buffer reused across the whole body.
-		br := bufio.NewReaderSize(resp.Body, 64<<10)
-		var scratch []byte
-		for {
-			seq, ev, err := platform.ReadStreamFrame(br, &scratch)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				// Torn response: what applied, applied; resume from there.
-				f.recordProgress(frontier, applied)
-				return applied, fmt.Errorf("repl: stream decode: %w", err)
-			}
-			if err := applyOne(seq, ev); err != nil {
-				return applied, err
-			}
+	// CRC-framed events, decoded into one scratch buffer reused across
+	// the whole body.
+	br := bufio.NewReaderSize(resp.Body, 64<<10)
+	var scratch []byte
+	for {
+		seq, ev, err := platform.ReadStreamFrame(br, &scratch)
+		if err == io.EOF {
+			break
 		}
-	} else {
-		// Legacy JSONL stream from an older leader.
-		dec := json.NewDecoder(resp.Body)
-		for dec.More() {
-			var se StreamEvent
-			if err := dec.Decode(&se); err != nil {
-				f.recordProgress(frontier, applied)
-				return applied, fmt.Errorf("repl: stream decode: %w", err)
-			}
-			if err := applyOne(se.Seq, se.Event); err != nil {
-				return applied, err
-			}
+		if err != nil {
+			// Torn response: what applied, applied; resume from there.
+			f.recordProgress(frontier, applied)
+			return applied, fmt.Errorf("repl: stream decode: %w", err)
+		}
+		if err := applyOne(seq, ev); err != nil {
+			return applied, err
 		}
 	}
 	f.recordProgress(frontier, applied)

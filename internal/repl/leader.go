@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,20 +15,12 @@ import (
 	"repro/internal/vclock"
 )
 
-// wantsFrames reports whether the peer negotiated the binary frame wire
-// (platform's CRC-framed event codec) instead of legacy JSONL/JSON. New
-// followers send the Accept header; old peers and curl get JSON, so the
-// endpoints stay debuggable and mixed-version clusters keep replicating.
-func wantsFrames(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), platform.FrameContentType)
-}
-
-// StreamEvent is one line of the stream response: a committed journal
-// event and its sequence number. The stream body is newline-delimited
-// JSON of these, in sequence order.
+// StreamEvent is one unit of the stream response: a committed journal
+// event and its sequence number. The stream body is these as binary
+// stream frames (platform.AppendStreamFrame), in sequence order.
 type StreamEvent struct {
-	Seq   uint64         `json:"seq"`
-	Event platform.Event `json:"event"`
+	Seq   uint64
+	Event platform.Event
 }
 
 // Stream response headers.
@@ -172,8 +163,8 @@ func (l *Leader) collect(from uint64, max int) (evs []StreamEvent, snapshotRequi
 }
 
 // handleStream is GET /api/repl/stream?from=N[&wait=10s][&max=4096]: a
-// long poll for committed events at or after from. The response is JSONL
-// StreamEvents (possibly empty if the wait expired with nothing new),
+// long poll for committed events at or after from. The response is
+// framed StreamEvents (possibly empty if the wait expired with nothing new),
 // with HeaderFrontier reporting the leader's committed length. A from
 // below the journal's truncation point gets 410 Gone with code
 // "snapshot_required" — the follower must bootstrap from the snapshot.
@@ -219,12 +210,7 @@ func (l *Leader) handleStream(w http.ResponseWriter, r *http.Request) {
 	// the wait window ends. The frontier header is the commit position at
 	// request time; the body may run past it.
 	frontier, _ := l.current()
-	binaryWire := wantsFrames(r)
-	if binaryWire {
-		w.Header().Set("Content-Type", platform.FrameContentType)
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", platform.FrameContentType)
 	w.Header().Set(HeaderFrontier, strconv.FormatUint(frontier, 10))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -232,8 +218,7 @@ func (l *Leader) handleStream(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 
-	enc := json.NewEncoder(w)
-	var frame []byte // reused across events on the binary wire
+	var frame []byte // reused across events
 	sent := 0
 	deadline := l.clock.Now().Add(wait)
 	for {
@@ -244,14 +229,8 @@ func (l *Leader) handleStream(w http.ResponseWriter, r *http.Request) {
 		if len(evs) > 0 {
 			for i := range evs {
 				se := &evs[i]
-				var err error
-				if binaryWire {
-					frame = platform.AppendStreamFrame(frame[:0], se.Seq, &se.Event)
-					_, err = w.Write(frame)
-				} else {
-					err = enc.Encode(se)
-				}
-				if err != nil {
+				frame = platform.AppendStreamFrame(frame[:0], se.Seq, &se.Event)
+				if _, err := w.Write(frame); err != nil {
 					return // client went away
 				}
 			}
@@ -288,8 +267,9 @@ func (l *Leader) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshot is GET /api/repl/snapshot: the latest snapshot record's
-// payload, verbatim (the deterministic engine-state JSON the checkpointer
-// cut), with its cut sequence in HeaderSnapshotSeq. 404 with code
+// payload (the deterministic engine-state JSON the checkpointer cut),
+// CRC-wrapped in a snapshot frame, with its cut sequence in
+// HeaderSnapshotSeq. 404 with code
 // "no_snapshot" when the leader has never checkpointed — the follower
 // then bootstraps from sequence zero.
 func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -303,12 +283,8 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	frontier, _ := l.current()
-	if wantsFrames(r) {
-		w.Header().Set("Content-Type", platform.FrameContentType)
-		data = platform.AppendSnapshotFrame(nil, data)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
+	w.Header().Set("Content-Type", platform.FrameContentType)
+	data = platform.AppendSnapshotFrame(nil, data)
 	w.Header().Set(HeaderSnapshotSeq, strconv.FormatUint(info.Seq, 10))
 	w.Header().Set(HeaderFrontier, strconv.FormatUint(frontier, 10))
 	w.Write(data)

@@ -533,113 +533,93 @@ func TestHealthzRoles(t *testing.T) {
 	}
 }
 
-// TestStreamWireNegotiation pins the dual-codec contract of the stream
-// and snapshot endpoints: a peer sending Accept with the frame content
-// type gets CRC-framed binary, everyone else keeps the legacy JSONL/JSON
-// wire — and both decode to identical events. This is what lets a new
-// follower poll an old leader (no frames offered, JSONL fallback) and an
-// old follower poll a new leader (no Accept, JSONL served) during a
-// rolling upgrade.
-func TestStreamWireNegotiation(t *testing.T) {
+// TestStreamWireFramesOnly pins the one-wire contract of the stream and
+// snapshot endpoints: the leader answers in CRC-framed binary whatever
+// the request's Accept header says, and a follower pointed at a peer
+// answering with any other Content-Type reports a failed poll and does
+// not advance — it never guesses at a second body format.
+func TestStreamWireFramesOnly(t *testing.T) {
 	env := newLeaderEnv(t, 0)
 	_, events := buildHistory(t, env.engine, "wire", 64)
 	waitLen(t, env.journal, events)
+	state := mustState(t, env.engine, events)
+	if _, err := storage.WriteSnapshot(env.db, platform.SnapshotPrefix, 1, events, state); err != nil {
+		t.Fatalf("write snapshot: %v", err)
+	}
 
-	fetch := func(path string, frames bool) *http.Response {
+	fetch := func(path, accept string) []byte {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodGet, env.hs.URL+path, nil)
 		if err != nil {
 			t.Fatalf("request: %v", err)
 		}
-		if frames {
-			req.Header.Set("Accept", platform.FrameContentType)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatalf("fetch %s: %v", path, err)
 		}
+		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("fetch %s: HTTP %d", path, resp.StatusCode)
 		}
-		return resp
+		if ct := resp.Header.Get("Content-Type"); ct != platform.FrameContentType {
+			t.Fatalf("fetch %s (Accept %q): Content-Type = %q", path, accept, ct)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("read %s: %v", path, err)
+		}
+		return body
 	}
 	streamPath := fmt.Sprintf("/api/repl/stream?from=0&wait=0s&max=%d", events)
-
-	// Legacy wire: no Accept header, JSONL body.
-	resp := fetch(streamPath, false)
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("legacy stream Content-Type = %q", ct)
-	}
-	var legacy []StreamEvent
-	dec := json.NewDecoder(resp.Body)
-	for dec.More() {
-		var se StreamEvent
-		if err := dec.Decode(&se); err != nil {
-			t.Fatalf("decode JSONL: %v", err)
+	for _, accept := range []string{"", platform.FrameContentType, "application/json"} {
+		br := bufio.NewReader(bytes.NewReader(fetch(streamPath, accept)))
+		var scratch []byte
+		for want := uint64(0); ; want++ {
+			seq, _, err := platform.ReadStreamFrame(br, &scratch)
+			if err == io.EOF {
+				if want != events {
+					t.Fatalf("Accept %q: stream carried %d events, want %d", accept, want, events)
+				}
+				break
+			}
+			if err != nil || seq != want {
+				t.Fatalf("Accept %q: frame %d: seq %d, err %v", accept, want, seq, err)
+			}
 		}
-		legacy = append(legacy, se)
-	}
-	resp.Body.Close()
-
-	// Negotiated wire: CRC-framed binary.
-	resp = fetch(streamPath, true)
-	if ct := resp.Header.Get("Content-Type"); ct != platform.FrameContentType {
-		t.Fatalf("framed stream Content-Type = %q", ct)
-	}
-	var framed []StreamEvent
-	br := bufio.NewReader(resp.Body)
-	var scratch []byte
-	for {
-		seq, ev, err := platform.ReadStreamFrame(br, &scratch)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("decode frame: %v", err)
-		}
-		framed = append(framed, StreamEvent{Seq: seq, Event: ev})
-	}
-	resp.Body.Close()
-
-	if len(legacy) != int(events) || len(framed) != int(events) {
-		t.Fatalf("event counts: legacy %d framed %d, want %d", len(legacy), len(framed), events)
-	}
-	for i := range legacy {
-		lj, _ := json.Marshal(legacy[i])
-		fj, _ := json.Marshal(framed[i])
-		if !bytes.Equal(lj, fj) {
-			t.Fatalf("event %d differs across wires:\n  jsonl: %s\n  frame: %s", i, lj, fj)
+		snap, err := platform.DecodeSnapshotFrame(fetch("/api/repl/snapshot", accept))
+		if err != nil || !bytes.Equal(snap, state) {
+			t.Fatalf("Accept %q: snapshot frame: err %v, payload equal %v", accept, err, bytes.Equal(snap, state))
 		}
 	}
 
-	// Snapshot endpoint: cut one manually, then fetch it both ways.
-	state := mustState(t, env.engine, events)
-	if _, err := storage.WriteSnapshot(env.db, platform.SnapshotPrefix, 1, events, state); err != nil {
-		t.Fatalf("write snapshot: %v", err)
-	}
-	resp = fetch("/api/repl/snapshot", false)
-	plain, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	// A peer that answers 200 with a JSON-lines body (what a pre-frame
+	// leader would have sent) is a failed poll, not an alternate parse.
+	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/api/repl/stream" {
+			http.NotFound(w, r) // no snapshot: bootstrap from sequence zero
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set(HeaderFrontier, "1")
+		json.NewEncoder(w).Encode(map[string]any{"seq": 0, "event": platform.Event{Op: platform.OpBan, ProjectID: 1, Worker: "w"}})
+	}))
+	defer legacy.Close()
+	f, err := StartFollower(FollowerOptions{LeaderURL: legacy.URL, Clock: vclock.NewVirtual(), PollWait: time.Millisecond})
 	if err != nil {
-		t.Fatalf("read snapshot: %v", err)
+		t.Fatalf("start follower: %v", err)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("legacy snapshot Content-Type = %q", ct)
+	defer f.Close()
+	deadline := time.Now().Add(30 * time.Second)
+	for f.stats().LastError == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never reported the non-frame response as an error")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	resp = fetch("/api/repl/snapshot", true)
-	wrapped, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("read framed snapshot: %v", err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != platform.FrameContentType {
-		t.Fatalf("framed snapshot Content-Type = %q", ct)
-	}
-	unwrapped, err := platform.DecodeSnapshotFrame(wrapped)
-	if err != nil {
-		t.Fatalf("unwrap snapshot frame: %v", err)
-	}
-	if !bytes.Equal(plain, unwrapped) {
-		t.Fatalf("snapshot payload differs across wires (%d vs %d bytes)", len(plain), len(unwrapped))
+	if st := f.stats(); st.AppliedSeq != 0 || st.Ready || st.Connected {
+		t.Fatalf("follower advanced over a non-frame wire: %+v", st)
 	}
 }

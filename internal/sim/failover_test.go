@@ -89,8 +89,13 @@ func TestSimAutoFailover(t *testing.T) {
 	if tok.Epoch == 0 || tok.Holder != "f1" {
 		t.Fatalf("promoted without a minted token: %s", tok)
 	}
-	if c.Gateway().Snapshot().Stats.Elections == 0 {
-		t.Fatal("gateway elections counter did not move")
+	// The counter moves only once the promote RPC's reply has crossed the
+	// simulated network, which takes virtual time the promotion itself
+	// (what AwaitLeader saw) did not need.
+	if err := c.Await(2*time.Minute, "gateway elections counter to move", func() bool {
+		return c.Gateway().Snapshot().Stats.Elections > 0
+	}); err != nil {
+		t.Fatal(err)
 	}
 
 	// Acked writes keep flowing through the same front door.

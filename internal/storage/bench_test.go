@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// Experiment E7 (DESIGN.md): storage engine throughput and recovery cost.
+// Experiment E7 (docs/ARCHITECTURE.md § "Experiments and gates"): storage
+// engine throughput and recovery cost.
 
 func benchPut(b *testing.B, pol SyncPolicy, valSize int) {
 	db, err := Open(b.TempDir(), Options{Sync: pol})
@@ -69,7 +70,7 @@ func BenchmarkBatchApply_100Ops(b *testing.B) {
 }
 
 // benchRecovery measures Open time over a store of n records, with and
-// without hint files (the hint ablation from DESIGN.md E7).
+// without hint files (experiment E7's hint ablation).
 func benchRecovery(b *testing.B, n int, hints bool) {
 	dir := b.TempDir()
 	db, err := Open(dir, Options{Sync: SyncNever, MaxSegmentBytes: 1 << 20})

@@ -9,9 +9,10 @@
 // that a crashed writer loses at most its unsynced suffix and never observes
 // corrupt data.
 //
-// The original Reprowd used SQLite for this role; see DESIGN.md for why this
-// substitution preserves the paper-relevant behaviour (durable, point-
-// addressable persistence of the task/result columns).
+// The original Reprowd used SQLite for this role; the substitution
+// preserves the paper-relevant behaviour (durable, point-addressable
+// persistence of the task/result columns), which experiment E7
+// (docs/ARCHITECTURE.md § "Experiments and gates") measures.
 //
 // Concurrency model: a DB is safe for concurrent use — reads take a
 // shared RWMutex over the key directory and read frames at their
