@@ -2,9 +2,11 @@ package reprowd
 
 // The root benchmarks regenerate experiments E1–E10 (indexed in
 // docs/ARCHITECTURE.md § "Experiments and gates") — the reproduction's
-// tables and figures — via the internal/exp harness. `go test -bench=. -benchmem` at the module root reruns the
-// paper's evaluation end to end; `cmd/reprowd-bench` prints the full
-// tables at paper scale.
+// tables and figures — via the internal/exp harness. `go test -bench=.
+// -benchmem` at the module root reruns the paper's evaluation end to
+// end; `cmd/reprowd-bench` prints the full tables at paper scale.
+// Platform performance is measured by benchmark/ (BENCHMARK.json), not
+// here.
 
 import (
 	"testing"

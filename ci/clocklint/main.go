@@ -1,12 +1,14 @@
 // Command clocklint enforces the determinism contract (docs/TESTING.md):
-// the five core packages — internal/platform, internal/sched,
-// internal/repl, internal/gate, internal/storage — must not read the wall
-// clock or ambient randomness directly. State-bearing time flows through
-// an injected vclock.Clock and randomness through a vclock.Rand, so the
-// simulation harness (internal/sim) can run a whole cluster in virtual
-// time and replay it from a seed. Metric-only time goes through
-// internal/obs (Now/Since), which is deliberately not banned: observed
-// durations never feed back into control flow or persisted state.
+// the five platform packages — internal/platform, internal/sched,
+// internal/repl, internal/gate, internal/storage — and four operator
+// packages — internal/core, internal/distops, internal/quality,
+// internal/lineage — must not read the wall clock or ambient randomness
+// directly. State-bearing time flows through an injected vclock.Clock
+// and randomness through a vclock.Rand, so the simulation harness
+// (internal/sim) can run a whole cluster in virtual time and replay it
+// from a seed. Metric-only time goes through internal/obs (Now/Since),
+// which is deliberately not banned: observed durations never feed back
+// into control flow or persisted state.
 //
 // The check is syntactic (stdlib go/parser, no build step): it flags
 //
@@ -48,6 +50,10 @@ var defaultRoots = []string{
 	"internal/repl",
 	"internal/gate",
 	"internal/storage",
+	"internal/core",
+	"internal/distops",
+	"internal/quality",
+	"internal/lineage",
 }
 
 // bannedClockFuncs are the time-package functions that read or wait on

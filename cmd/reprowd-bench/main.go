@@ -1,17 +1,11 @@
-// Command reprowd-bench runs the reproduction's experiment suite (E1–E17;
-// the index, what each one gates and the file it writes are in
+// Command reprowd-bench runs the reproduction's experiment suite (E1–E10,
+// the paper's figures and the TurKit baseline; the index is in
 // docs/ARCHITECTURE.md § "Experiments and gates") and prints each
-// experiment's table. Experiments with machine-readable output (E11 →
-// BENCH_submit.json, E12 → BENCH_recovery.json, E13 → BENCH_repl.json,
-// E14 → BENCH_gate.json, E15 → BENCH_obs.json, E16 → BENCH_codec.json,
-// E17 → BENCH_dist.json) write it to -out.
+// experiment's table. An experiment that finds one of its own claims
+// violated notes it as "FAIL: ..."; any such note exits non-zero.
 //
-// The command doubles as the CI gate: every experiment checks its own
-// claims on its own measurements and notes a violation as "FAIL: ...";
-// -check exits non-zero when any selected experiment did. The checks are
-// structural (counts, bytes, booleans) or same-process ratios, immune to
-// machine speed. Absolute submit throughput is not gated here — the
-// repo benchmark (BENCHMARK.json, parent vs change on one box) does that.
+// Platform performance is not measured here: BENCHMARK.json +
+// benchmark/ (E18, `bash benchmark/run.sh`) is the repo's one benchmark.
 //
 // Usage:
 //
@@ -19,7 +13,6 @@
 //	reprowd-bench -exp e4,e5      # selected experiments
 //	reprowd-bench -quick          # small workloads (seconds, not minutes)
 //	reprowd-bench -seed 7         # change the simulation seed
-//	reprowd-bench -quick -exp e11,e12,e13,e14,e15,e16,e17 -out bench-out -check
 package main
 
 import (
@@ -33,22 +26,12 @@ import (
 
 func main() {
 	var (
-		expFlag = flag.String("exp", "all", "comma-separated experiment ids (e1..e17) or 'all'")
+		expFlag = flag.String("exp", "all", "comma-separated experiment ids (e1..e10) or 'all'")
 		seed    = flag.Int64("seed", 20160903, "simulation seed")
 		quick   = flag.Bool("quick", false, "run reduced workloads")
-		outDir  = flag.String("out", ".", "directory for machine-readable results (BENCH_*.json)")
-		check   = flag.Bool("check", false,
-			"exit non-zero if any selected experiment reports a failed gate (a FAIL note)")
 	)
 	flag.Parse()
-
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "reprowd-bench: create -out dir: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	cfg := exp.Config{Seed: *seed, Quick: *quick, OutDir: *outDir}
+	cfg := exp.Config{Seed: *seed, Quick: *quick}
 
 	var ids []string
 	if *expFlag == "all" {
@@ -74,12 +57,10 @@ func main() {
 			continue
 		}
 		fmt.Println(res.Format())
-		if *check {
-			for _, note := range res.Notes {
-				if strings.HasPrefix(note, "FAIL") {
-					fmt.Fprintf(os.Stderr, "reprowd-bench: %s: gate failed: %s\n", id, note)
-					failed = true
-				}
+		for _, note := range res.Notes {
+			if strings.HasPrefix(note, "FAIL") {
+				fmt.Fprintf(os.Stderr, "reprowd-bench: %s: claim violated: %s\n", id, note)
+				failed = true
 			}
 		}
 	}

@@ -200,16 +200,37 @@ func TestCrowdJoinEndToEnd(t *testing.T) {
 	if res2.Cost.Tasks != res.Cost.Tasks || res2.Cost.Answers != res.Cost.Answers {
 		t.Fatalf("rerun cost %+v, first run %+v", res2.Cost, res.Cost)
 	}
-	if len(res2.Matches) != len(res.Matches) {
-		t.Fatalf("rerun found %d matches, first run %d", len(res2.Matches), len(res.Matches))
-	}
-	for k := range res.Matches {
-		if !res2.Matches[k] {
-			t.Fatalf("rerun lost match %s", k)
-		}
-	}
+	requireSameMatches(t, "rerun", res2.Matches, res.Matches)
 	if st := engine.PlatformStats(); st.Tasks != len(pairs) {
 		t.Fatalf("engine holds %d tasks after rerun, want %d (no republish)", st.Tasks, len(pairs))
+	}
+
+	// Topology independence: the same pairs planned onto one partition of
+	// a fresh platform, answered by the same deterministic workers and
+	// resolved by a batch fit, land on the three-partition match set.
+	engine1 := platform.NewEngine(vclock.NewVirtual())
+	oneCfg := rerunCfg
+	oneCfg.Partitions = []string{"s1"}
+	oneCfg.Answer = func(sr ShardRun) error { return driveShard(engine1, sr, workers, truth, 10) }
+	one, err := CrowdJoin(newTestContext(t, engine1), pairs, oneCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one.Shards) != 1 || one.Cost.Answers != res.Cost.Answers {
+		t.Fatalf("1-partition run: %d shards, %d answers, want 1 and %d", len(one.Shards), one.Cost.Answers, res.Cost.Answers)
+	}
+	requireSameMatches(t, "1-partition plan", one.Matches, res.Matches)
+}
+
+func requireSameMatches(t *testing.T, what string, got, want map[string]bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s found %d matches, want %d", what, len(got), len(want))
+	}
+	for k := range want {
+		if !got[k] {
+			t.Fatalf("%s lost match %s", what, k)
+		}
 	}
 }
 

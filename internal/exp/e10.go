@@ -65,7 +65,7 @@ func E10Turkit(cfg Config) (Result, error) {
 	// Each "step" labels its own image set in its own table; the edit
 	// changes only the order (or set) of manipulations.
 	runReprowd := func(order []string) (calls int, correct bool, err error) {
-		e, err := newEnv(cfg.Seed)
+		e, err := newEnv()
 		if err != nil {
 			return 0, false, err
 		}

@@ -61,7 +61,7 @@ func E1Quickstart(cfg Config) (Result, error) {
 	if cfg.Quick {
 		n = 6
 	}
-	e, err := newEnv(cfg.Seed)
+	e, err := newEnv()
 	if err != nil {
 		return Result{}, err
 	}
@@ -115,7 +115,7 @@ func E2ExtendLineage(cfg Config) (Result, error) {
 	if cfg.Quick {
 		n = 4
 	}
-	e, err := newEnv(cfg.Seed)
+	e, err := newEnv()
 	if err != nil {
 		return Result{}, err
 	}
@@ -254,7 +254,7 @@ func E3CrashRerun(cfg Config) (Result, error) {
 	objects := imagesAsObjects(simdata.Images(cfg.Seed, n))
 
 	// Control.
-	ctl, err := newEnv(cfg.Seed)
+	ctl, err := newEnv()
 	if err != nil {
 		return res, err
 	}
@@ -265,7 +265,7 @@ func E3CrashRerun(cfg Config) (Result, error) {
 	}
 
 	for k := range steps {
-		e, err := newEnv(cfg.Seed)
+		e, err := newEnv()
 		if err != nil {
 			return res, err
 		}

@@ -48,7 +48,7 @@ func E4CrowdERSweep(cfg Config) (Result, error) {
 
 	// Baseline: all pairs to the crowd.
 	{
-		e, err := newEnv(cfg.Seed)
+		e, err := newEnv()
 		if err != nil {
 			return res, err
 		}
@@ -69,7 +69,7 @@ func E4CrowdERSweep(cfg Config) (Result, error) {
 		taus = []float64{0.3, 0.5}
 	}
 	for _, tau := range taus {
-		e, err := newEnv(cfg.Seed)
+		e, err := newEnv()
 		if err != nil {
 			return res, err
 		}
@@ -90,7 +90,7 @@ func E4CrowdERSweep(cfg Config) (Result, error) {
 
 	// Cluster tasks at a mid threshold.
 	{
-		e, err := newEnv(cfg.Seed)
+		e, err := newEnv()
 		if err != nil {
 			return res, err
 		}
@@ -137,7 +137,7 @@ func E5TransitiveJoin(cfg Config) (Result, error) {
 
 	// Baseline without transitivity.
 	{
-		e, err := newEnv(cfg.Seed)
+		e, err := newEnv()
 		if err != nil {
 			return res, err
 		}
@@ -161,7 +161,7 @@ func E5TransitiveJoin(cfg Config) (Result, error) {
 	}
 
 	for _, order := range []ops.Order{ops.OrderRandom, ops.OrderSimilarityDesc, ops.OrderExpectedSavings} {
-		e, err := newEnv(cfg.Seed)
+		e, err := newEnv()
 		if err != nil {
 			return res, err
 		}

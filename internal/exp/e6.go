@@ -27,7 +27,7 @@ func E6QualitySweep(cfg Config) (Result, error) {
 	}
 
 	for _, r := range reds {
-		e, err := newEnv(cfg.Seed)
+		e, err := newEnv()
 		if err != nil {
 			return res, err
 		}

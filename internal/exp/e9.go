@@ -39,7 +39,7 @@ func E9SortMax(cfg Config) (Result, error) {
 		var taus []float64
 		var tasks, answers int
 		for _, seed := range seeds {
-			e, err := newEnv(seed)
+			e, err := newEnv()
 			if err != nil {
 				return res, err
 			}
@@ -69,7 +69,7 @@ func E9SortMax(cfg Config) (Result, error) {
 		wins := 0
 		var tasks, answers int
 		for _, seed := range seeds {
-			e, err := newEnv(seed)
+			e, err := newEnv()
 			if err != nil {
 				return res, err
 			}

@@ -1,8 +1,8 @@
 // Package exp is the experiment harness: one function per experiment
-// (E1–E10 each regenerate a figure, table, or claim of the paper; E11–E17
-// each measure and gate one platform subsystem), returning a printable
-// result table. docs/ARCHITECTURE.md § "Experiments and gates" is the
-// index.
+// (E1–E10, each regenerating a figure, table, or claim of the paper),
+// returning a printable result table. docs/ARCHITECTURE.md §
+// "Experiments and gates" is the index. Platform performance is not
+// measured here: BENCHMARK.json + benchmark/ (E18) is the one benchmark.
 package exp
 
 import (
@@ -24,10 +24,6 @@ type Config struct {
 	Seed int64
 	// Quick shrinks workloads for use inside unit tests and smoke runs.
 	Quick bool
-	// OutDir, when non-empty, is where experiments drop machine-readable
-	// result files (e.g. E11's BENCH_submit.json). Empty writes nothing —
-	// unit tests must not litter the working directory.
-	OutDir string
 }
 
 // Result is one experiment's output table.
@@ -98,13 +94,6 @@ var registry = map[string]runner{
 	"e8":  E8PlatformBindings,
 	"e9":  E9SortMax,
 	"e10": E10Turkit,
-	"e11": E11GroupCommit,
-	"e12": E12SnapshotRecovery,
-	"e13": E13Replication,
-	"e14": E14Gateway,
-	"e15": E15ObsOverhead,
-	"e16": E16Codec,
-	"e17": E17DistOps,
 }
 
 // IDs lists the registered experiment ids in order.
@@ -157,7 +146,7 @@ type env struct {
 
 // newEnv builds a fresh environment with a temp database directory. The
 // caller must defer e.close().
-func newEnv(seed int64) (*env, error) {
+func newEnv() (*env, error) {
 	dir, err := os.MkdirTemp("", "reprowd-exp-*")
 	if err != nil {
 		return nil, err
@@ -174,7 +163,6 @@ func newEnv(seed int64) (*env, error) {
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	_ = seed
 	return &env{clock: clock, engine: engine, cc: cc, dir: dir}, nil
 }
 

@@ -135,7 +135,7 @@ func fetchMetrics(t *testing.T, base string) string {
 	return out
 }
 
-// TestMetricsOnLiveTopology drives the E14-style deployment — two ring
+// TestMetricsOnLiveTopology drives the full gated deployment — two ring
 // leaders, a follower each, one gateway — and asserts the acceptance
 // surface: journal/fsync latency families on leaders, replication lag in
 // events and seconds on followers, per-route × per-node counters on the

@@ -515,16 +515,17 @@ func DecodeSnapshotFrame(data []byte) ([]byte, error) {
 
 // EncodeEventFrame appends ev as one complete journal value frame to dst
 // and returns the extended slice. Production appends go through the
-// journal's pooled encoder (encodeEvent); this export exists so the codec
-// experiment (E16) can measure the encoder in isolation.
+// journal's pooled encoder (encodeEvent); this export exists so the
+// benchmark's codec probe (benchmark/layers.go, platform.codec_* metrics)
+// can measure the encoder in isolation.
 func EncodeEventFrame(dst []byte, ev *Event) []byte {
 	return appendEventFrame(dst, ev)
 }
 
 // DecodeEventFrame parses one binary journal value produced by
 // EncodeEventFrame (or by the journal itself) back into an Event. Like
-// EncodeEventFrame it exists for the codec experiment; replay decodes
-// through the unexported path directly.
+// EncodeEventFrame it exists for the benchmark's codec probe; replay
+// decodes through the unexported path directly.
 func DecodeEventFrame(val []byte) (Event, error) {
 	return decodeEventValue(val)
 }

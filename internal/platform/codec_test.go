@@ -57,6 +57,7 @@ func codecSampleEvents() []Event {
 // marshal to the exact JSON bytes ev itself marshals to — the property
 // byte-identical snapshot exports rest on.
 func TestEventCodecJSONEquivalent(t *testing.T) {
+	var frameBytes, jsonBytes int
 	for i, ev := range codecSampleEvents() {
 		frame := appendEventFrame(nil, &ev)
 		if frame[0] != frameMagic {
@@ -84,6 +85,13 @@ func TestEventCodecJSONEquivalent(t *testing.T) {
 				t.Fatalf("event %d task %d: payload nil-ness flipped", i, j)
 			}
 		}
+		frameBytes += len(frame)
+		jsonBytes += len(wantJSON)
+	}
+	// Size bar: CRC and header included, frames must stay at least 30%
+	// smaller than the JSON rendering of the same events.
+	if 10*frameBytes > 7*jsonBytes {
+		t.Fatalf("frames are %d bytes vs %d as JSON, want <= 70%%", frameBytes, jsonBytes)
 	}
 }
 

@@ -190,8 +190,10 @@ type engineMetrics struct {
 // samples describe the same requests and the boundary clock reads can be
 // shared. 1-in-8 sampling keeps those clock reads — the dominant
 // instrumentation cost on a microsecond-scale path — inside the 5%
-// overhead budget E15 enforces; the first call is always sampled so even
-// a short-lived process observes something. False when metrics are off.
+// overhead budget (BenchmarkSubmitBare vs BenchmarkSubmitInstrumented;
+// the benchmark's trace.overhead_ratio tracks it per PR); the first call
+// is always sampled so even a short-lived process observes something.
+// False when metrics are off.
 func (m *engineMetrics) sampleSubmit() bool {
 	if m.submit == nil {
 		return false

@@ -12,12 +12,13 @@ import (
 // Observability overhead benchmarks: the same journaled Submit path run
 // with a nil registry (every metric site a branch-only no-op) and with a
 // live registry recording the full histogram/counter surface. The
-// acceptance bar — instrumented within 5% of bare — is enforced in CI by
-// E15 under reprowd-bench -check (it emits BENCH_obs.json next to E11's
-// BENCH_submit.json); these benchmarks are the same comparison in `go
-// test -bench` form for local work:
+// acceptance bar is instrumented within 5% of bare; this pair is the
+// direct measurement of it:
 //
 //	go test -run='^$' -bench='BenchmarkSubmit(Bare|Instrumented)' ./internal/platform
+//
+// Per PR the same cost shows end to end as trace.overhead_ratio in the
+// repo benchmark's traced run (`bash benchmark/run.sh --trace 1`).
 //
 // SyncNever keeps the comparison CPU-bound; on the fsync-bound policies
 // disk latency hides any instrumentation cost.
