@@ -4,6 +4,10 @@
 // simulates a worker with a given accuracy against a truth field in the
 // task payload (for demos and load tests).
 //
+// The worker exits once the platform says no task is left for it. While
+// every remaining task is leased to other workers it waits and asks again
+// every few seconds: a lease either ends in an answer or expires.
+//
 // Usage:
 //
 //	reprowd-worker -platform http://localhost:7070 -project reprowd-image_label -worker alice
@@ -20,10 +24,15 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/platform"
 )
+
+// leaseWait is the pause before asking again when every task still open
+// for this worker is leased to someone else.
+const leaseWait = 5 * time.Second
 
 func main() {
 	var (
@@ -66,16 +75,26 @@ func main() {
 	rng := rand.New(rand.NewSource(*seed))
 	in := bufio.NewScanner(os.Stdin)
 	done := 0
+	waiting := false
 
 	for *maxTasks == 0 || done < *maxTasks {
 		task, err := client.RequestTask(proj.ID, *worker)
-		if errors.Is(err, platform.ErrNoTask) {
-			fmt.Printf("no more tasks for %s — answered %d\n", *worker, done)
+		if errors.Is(err, platform.ErrNoTaskLeft) {
+			fmt.Printf("no tasks left for %s — answered %d\n", *worker, done)
 			return
+		}
+		if errors.Is(err, platform.ErrNoTask) {
+			if !waiting {
+				slog.Info("every open task is leased to another worker; waiting", "retry_every", leaseWait)
+				waiting = true
+			}
+			time.Sleep(leaseWait)
+			continue
 		}
 		if err != nil {
 			fatal(err)
 		}
+		waiting = false
 
 		var answer string
 		if *auto {

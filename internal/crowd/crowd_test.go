@@ -422,6 +422,56 @@ func TestDrainDropoutReclaim(t *testing.T) {
 	}
 }
 
+// requestCounter counts RequestTask calls through a platform.Client.
+type requestCounter struct {
+	platform.Client
+	requests int
+}
+
+func (c *requestCounter) RequestTask(projectID int64, workerID string) (platform.Task, error) {
+	c.requests++
+	return c.Client.RequestTask(projectID, workerID)
+}
+
+// TestDrainStopsPollingFinishedProject: workers wait out abandoned leases
+// but stop asking once nothing is left for them. Every request is an
+// answer, a dropout, a return, one final miss per worker, or a retry
+// while some abandoned lease blocks — at most TTL/noTaskRetry+1 per
+// worker per abandoned lease. Workers that kept polling a finished
+// project (maxIdleRetries each) would blow the bound.
+func TestDrainStopsPollingFinishedProject(t *testing.T) {
+	const ttl = time.Minute
+	clock := vclock.NewVirtual()
+	engine, err := platform.NewEngineOpts(platform.EngineOptions{Clock: clock, LeaseTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newProject(t, engine, 2, 8)
+	pool := NewPool(1, clock,
+		Spec{Count: 2, Model: Perfect{}, Prefix: "ghost", Dropout: 1},
+		Spec{Count: 2, Model: Perfect{}, Prefix: "flaky", Dropout: 0.3, ReturnDelay: 45 * time.Second},
+		Spec{Count: 2, Model: Perfect{}, Prefix: "solid"},
+	)
+	client := &requestCounter{Client: engine}
+	stats, err := pool.Drain(client, p.ID, labelOracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := engine.Stats(p.ID); st.CompletedTasks != 8 {
+		t.Fatalf("completed = %d, want 8", st.CompletedTasks)
+	}
+	if stats.Returns == 0 {
+		t.Fatalf("drain exercised no abandon-and-return: %+v", stats)
+	}
+	workers := len(pool.Workers)
+	leaseWaits := workers * stats.Dropouts * int(ttl/noTaskRetry+1)
+	bound := stats.Answers + stats.Dropouts + stats.Returns + workers + leaseWaits
+	if client.requests > bound {
+		t.Fatalf("%d RequestTask calls, want <= %d (answers %d, dropouts %d, returns %d, workers %d, lease waits <= %d)",
+			client.requests, bound, stats.Answers, stats.Dropouts, stats.Returns, workers, leaseWaits)
+	}
+}
+
 // TestDrainDropoutDeterministic: the dropout path (including retry
 // scheduling) stays reproducible from the seed.
 func TestDrainDropoutDeterministic(t *testing.T) {

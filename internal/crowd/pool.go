@@ -138,27 +138,19 @@ func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(workerEvent)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// Patience of workers waiting out other workers' abandoned leases: when
-// the pool contains dropout workers, a worker finding no eligible task
-// retries every noTaskRetry of simulated time, up to maxIdleRetries
-// consecutive failures, so that leases expiring under the scheduler's TTL
-// are reclaimed instead of stranding tasks. Pools without dropout keep
-// the original leave-on-first-ErrNoTask behavior (and its exact event
-// sequence).
+// Patience of workers waiting out other workers' abandoned leases: a
+// worker told plain platform.ErrNoTask (every task it could answer is
+// leased to someone else) retries every noTaskRetry of simulated time, up
+// to maxIdleRetries consecutive failures, so that leases expiring under
+// the scheduler's TTL are reclaimed instead of stranding tasks. A worker
+// told platform.ErrNoTaskLeft has nothing left to answer and leaves at
+// once. Without dropout no lease outlives the event that took it, so a
+// no-dropout pool draining a project alone only ever sees ErrNoTaskLeft
+// and its workers leave on their first miss.
 const (
 	noTaskRetry    = 30 * time.Second
 	maxIdleRetries = 240 // 2 simulated hours of patience
 )
-
-// hasDropout reports whether any worker can abandon assignments.
-func (p *Pool) hasDropout() bool {
-	for _, w := range p.Workers {
-		if w.Dropout > 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // Drain runs the pool against a project until no worker can get another
 // task: every task either reached its redundancy or has been answered by
@@ -171,7 +163,6 @@ func (p *Pool) Drain(client platform.Client, projectID int64, oracle Oracle) (Dr
 		return stats, nil
 	}
 	virt, _ := p.clock.(*vclock.Virtual)
-	patient := p.hasDropout()
 	idle := make([]int, len(p.Workers))    // consecutive fruitless requests
 	returns := make([]int, len(p.Workers)) // abandon-and-return re-entries
 
@@ -191,11 +182,13 @@ func (p *Pool) Drain(client platform.Client, projectID int64, oracle Oracle) (Dr
 			virt.AdvanceTo(ev.at)
 		}
 		task, err := client.RequestTask(projectID, w.ID)
+		if errors.Is(err, platform.ErrNoTaskLeft) {
+			continue // answered everything still open: the worker leaves
+		}
 		if errors.Is(err, platform.ErrNoTask) {
-			// Nothing eligible right now. A patient pool waits for
-			// abandoned leases to expire and be reclaimed; otherwise the
-			// worker leaves.
-			if patient && idle[ev.idx] < maxIdleRetries {
+			// Leases block every task this worker could answer: wait for
+			// them to expire and be reclaimed.
+			if idle[ev.idx] < maxIdleRetries {
 				idle[ev.idx]++
 				heap.Push(&h, workerEvent{at: ev.at.Add(noTaskRetry), idx: ev.idx})
 			}

@@ -3,6 +3,7 @@ package gate
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -237,6 +238,25 @@ func TestGatewayPartitionedWrites(t *testing.T) {
 		if _, err := chk.node.engine.Tasks(chk.pid); err != nil {
 			t.Fatalf("leader %s missing project %d: %v", chk.node.name, chk.pid, err)
 		}
+	}
+
+	// Both flavours of "no task" survive the hop: the leader's 204
+	// carries its platform.HeaderNoTask marker, which copyHeaders relays.
+	extra, err := client.AddTasks(pA.ID, []platform.TaskSpec{{ExternalID: "extra"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.RequestTask(pA.ID, "w2"); err != nil {
+		t.Fatalf("lease extra task: %v", err)
+	}
+	if _, err := client.RequestTask(pA.ID, "w3"); !errors.Is(err, platform.ErrNoTask) || errors.Is(err, platform.ErrNoTaskLeft) {
+		t.Fatalf("lease-blocked via gateway: got %v, want plain ErrNoTask", err)
+	}
+	if _, err := client.Submit(extra[0].ID, "w2", "yes"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.RequestTask(pA.ID, "w3"); !errors.Is(err, platform.ErrNoTaskLeft) {
+		t.Fatalf("exhausted via gateway: got %v, want ErrNoTaskLeft", err)
 	}
 }
 

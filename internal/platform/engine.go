@@ -721,6 +721,8 @@ func (e *Engine) RequestTask(projectID int64, workerID string) (Task, error) {
 	case nil:
 	case sched.ErrNoTask:
 		return Task{}, ErrNoTask
+	case sched.ErrNoTaskLeft:
+		return Task{}, ErrNoTaskLeft
 	case sched.ErrUnknownProject:
 		return Task{}, ErrUnknownProject
 	default:

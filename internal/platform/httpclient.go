@@ -234,6 +234,9 @@ func (c *HTTPClient) attempt(method, path string, buf []byte, hasBody bool, out 
 	defer resp.Body.Close()
 
 	if resp.StatusCode == http.StatusNoContent {
+		if resp.Header.Get(HeaderNoTask) == "no_task_left" {
+			return false, "", ErrNoTaskLeft
+		}
 		return false, "", ErrNoTask
 	}
 	if resp.StatusCode >= 400 {

@@ -30,6 +30,11 @@ const HeaderShardKey = "X-Reprowd-Shard-Key"
 // to tag with, and such responses are never cached.
 const HeaderFrontier = "X-Reprowd-Frontier"
 
+// HeaderNoTask carries the wire code of a 204 from newtask ("no_task" or
+// "no_task_left"), since a 204 has no body for the JSON error. A bare 204
+// — an older node — decodes as plain ErrNoTask.
+const HeaderNoTask = "X-Reprowd-No-Task"
+
 // ShardKey is the canonical routing hash over a platform id — the same
 // Fibonacci multiplicative hash internal/sched stripes projects across
 // shard locks with, reused by repl.Ring to partition projects across
@@ -47,7 +52,10 @@ func ShardKey(id int64) uint64 {
 //	GET  /api/projects/find?name=N    → FindProject
 //	POST /api/projects/{id}/tasks     → AddTasks (bulk)
 //	GET  /api/projects/{id}/tasks     → Tasks
-//	POST /api/projects/{id}/newtask   → RequestTask   (?worker=W)
+//	POST /api/projects/{id}/newtask   → RequestTask   (?worker=W; 204 when
+//	                                    nothing is assignable, with
+//	                                    HeaderNoTask "no_task_left" when
+//	                                    waiting cannot help)
 //	GET  /api/projects/{id}/stats     → Stats
 //	GET  /api/projects/{id}/queue     → QueueStats (scheduler queue depth/leases)
 //	GET  /api/stats                   → PlatformStats (journal + storage counters)
@@ -118,6 +126,8 @@ func errorCode(err error) (string, int) {
 		return "unknown_project", http.StatusNotFound
 	case errors.Is(err, ErrUnknownTask):
 		return "unknown_task", http.StatusNotFound
+	case errors.Is(err, ErrNoTaskLeft):
+		return "no_task_left", http.StatusNoContent
 	case errors.Is(err, ErrNoTask):
 		return "no_task", http.StatusNoContent
 	case errors.Is(err, ErrDuplicateAnswer):
@@ -146,6 +156,8 @@ func codeToError(code, msg string) error {
 		return ErrUnknownProject
 	case "unknown_task":
 		return ErrUnknownTask
+	case "no_task_left":
+		return ErrNoTaskLeft
 	case "no_task":
 		return ErrNoTask
 	case "duplicate_answer":
@@ -184,6 +196,7 @@ func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, err error) {
 	}
 	code, status := errorCode(err)
 	if status == http.StatusNoContent {
+		w.Header().Set(HeaderNoTask, code)
 		w.WriteHeader(status)
 		return
 	}

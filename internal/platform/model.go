@@ -25,6 +25,7 @@ package platform
 
 import (
 	"errors"
+	"fmt"
 	"time"
 )
 
@@ -138,6 +139,13 @@ var (
 	// The HTTP layer turns it into a redirect to the leader when the
 	// replica knows one.
 	ErrReadOnly = errors.New("platform: engine is read-only (follower); write to the leader")
+	// ErrNoTaskLeft is the ErrNoTask that waiting cannot cure: the worker
+	// has answered every open task of the project (or none is open). A
+	// plain ErrNoTask means another worker's lease blocks the only
+	// candidates, so a retry after it expires may succeed.
+	// errors.Is(ErrNoTaskLeft, ErrNoTask) holds, so classifiers that only
+	// know ErrNoTask keep working.
+	ErrNoTaskLeft = fmt.Errorf("%w: none left to answer", ErrNoTask)
 )
 
 // Client is the platform binding used by everything above this package.
@@ -152,7 +160,9 @@ type Client interface {
 	// one Task per spec, in order (existing tasks for duplicates).
 	AddTasks(projectID int64, specs []TaskSpec) ([]Task, error)
 	// RequestTask asks the scheduler for the next task this worker
-	// should do. It returns ErrNoTask when nothing is eligible.
+	// should do. It returns ErrNoTaskLeft when the worker has nothing left
+	// to answer, and plain ErrNoTask when other workers' leases block the
+	// only candidates (retrying after they expire may succeed).
 	RequestTask(projectID int64, workerID string) (Task, error)
 	// Submit records a worker's answer for a task.
 	Submit(taskID int64, workerID, answer string) (TaskRun, error)

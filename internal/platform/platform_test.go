@@ -3,6 +3,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -175,6 +176,41 @@ func TestAssignmentLifecycle(t *testing.T) {
 			t.Fatalf("stats = %+v, want %+v", st, want)
 		}
 	})
+}
+
+// TestNoTaskLeftRoundTrip: both flavours of "no task" reach the client
+// intact — lease-blocked is plain ErrNoTask (retry may help), exhausted
+// is ErrNoTaskLeft — over the wire as on the engine. A bare 204 (a node
+// that predates the marker) still decodes as plain ErrNoTask.
+func TestNoTaskLeftRoundTrip(t *testing.T) {
+	if !errors.Is(ErrNoTaskLeft, ErrNoTask) {
+		t.Fatal("ErrNoTaskLeft is not an ErrNoTask")
+	}
+	forEachClient(t, func(t *testing.T, c Client) {
+		p, _ := c.EnsureProject(ProjectSpec{Name: "p", Redundancy: 1})
+		c.AddTasks(p.ID, []TaskSpec{{ExternalID: "t1"}})
+		task, err := c.RequestTask(p.ID, "w1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RequestTask(p.ID, "w2"); !errors.Is(err, ErrNoTask) || errors.Is(err, ErrNoTaskLeft) {
+			t.Fatalf("lease-blocked: got %v, want plain ErrNoTask", err)
+		}
+		if _, err := c.Submit(task.ID, "w1", "yes"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RequestTask(p.ID, "w2"); !errors.Is(err, ErrNoTaskLeft) {
+			t.Fatalf("exhausted: got %v, want ErrNoTaskLeft", err)
+		}
+	})
+
+	bare := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer bare.Close()
+	if _, err := NewHTTPClient(bare.URL, bare.Client()).RequestTask(1, "w"); !errors.Is(err, ErrNoTask) || errors.Is(err, ErrNoTaskLeft) {
+		t.Fatalf("bare 204: got %v, want plain ErrNoTask", err)
+	}
 }
 
 func TestBreadthFirstScheduling(t *testing.T) {

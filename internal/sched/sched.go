@@ -40,6 +40,7 @@ package sched
 import (
 	"container/heap"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -69,6 +70,12 @@ var (
 	ErrUnknownTask    = errors.New("sched: unknown or retired task")
 	ErrNoTask         = errors.New("sched: no assignable task for this worker")
 	ErrDuplicate      = errors.New("sched: worker already answered this task")
+	// ErrNoTaskLeft is the ErrNoTask that waiting cannot cure: every
+	// open task was already answered by the worker (or none is open), so
+	// no lease expiry or completion makes one assignable to it — only a
+	// newly published task would. errors.Is(ErrNoTaskLeft, ErrNoTask)
+	// holds.
+	ErrNoTaskLeft = fmt.Errorf("%w: none left to answer", ErrNoTask)
 )
 
 // Options configure New. The zero value is usable.
@@ -296,7 +303,10 @@ func (s *Scheduler) AddTask(projectID, taskID int64, priority float64, redundanc
 // at most one lease per project). Otherwise a task is eligible when the
 // worker has not answered it and it still has a free slot (answers + live
 // leases < redundancy). Returns the task id and the assignment time
-// stamped on the lease.
+// stamped on the lease. When nothing is eligible it returns ErrNoTask if
+// some task the worker has not answered is blocked only by other workers'
+// leases (it may free up when one expires or is released), and
+// ErrNoTaskLeft otherwise.
 //
 // The clock is consulted lazily — a request that never touches a leased
 // task (the common case in a drain loop, where leases are cleared on
@@ -346,11 +356,15 @@ func (s *Scheduler) Acquire(projectID int64, workerID string) (int64, time.Time,
 	// case returns the root in O(log n).
 	var skipped []*entry
 	var found *entry
+	leaseBlocked := false
 	for q.heap.Len() > 0 {
 		e := q.heap.entries[0]
 		if eligibleLocked(q, e, workerID, clockNow) {
 			found = e
 			break
+		}
+		if _, done := e.answered[workerID]; !done {
+			leaseBlocked = true
 		}
 		skipped = append(skipped, heap.Pop(&q.heap).(*entry))
 	}
@@ -358,7 +372,10 @@ func (s *Scheduler) Acquire(projectID int64, workerID string) (int64, time.Time,
 		heap.Push(&q.heap, e)
 	}
 	if found == nil {
-		return 0, time.Time{}, ErrNoTask
+		if leaseBlocked {
+			return 0, time.Time{}, ErrNoTask
+		}
+		return 0, time.Time{}, ErrNoTaskLeft
 	}
 	at := clockNow()
 	if found.leases == nil {

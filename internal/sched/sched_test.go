@@ -67,8 +67,10 @@ func TestBreadthFirstOrder(t *testing.T) {
 			t.Fatalf("task %d should retire at redundancy 2", got)
 		}
 	}
-	if _, _, err := s.Acquire(1, "w3"); !errors.Is(err, ErrNoTask) {
-		t.Fatalf("drained queue: got %v, want ErrNoTask", err)
+	// An empty heap is final: nothing will ever be assignable, and
+	// classifiers that only know ErrNoTask still see one.
+	if _, _, err := s.Acquire(1, "w3"); !errors.Is(err, ErrNoTaskLeft) || !errors.Is(err, ErrNoTask) {
+		t.Fatalf("drained queue: got %v, want ErrNoTaskLeft (an ErrNoTask)", err)
 	}
 }
 
@@ -107,9 +109,10 @@ func TestDuplicateAndRetired(t *testing.T) {
 	if _, err := s.Complete(1, 1, "w1", clock.Now); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate: got %v, want ErrDuplicate", err)
 	}
-	// w1 answered the only task: nothing assignable for it.
-	if _, _, err := s.Acquire(1, "w1"); !errors.Is(err, ErrNoTask) {
-		t.Fatalf("answered task re-acquired: %v", err)
+	// w1 answered the only open task: nothing is left for it, however
+	// long it waits.
+	if _, _, err := s.Acquire(1, "w1"); !errors.Is(err, ErrNoTaskLeft) {
+		t.Fatalf("answered task re-acquired: got %v, want ErrNoTaskLeft", err)
 	}
 	res := mustComplete(t, s, 1, 1, "w2", clock)
 	if !res.Retired || res.Answers != 2 {
@@ -208,9 +211,9 @@ func TestLeaseAdmission(t *testing.T) {
 	if got := mustAcquire(t, s, 1, "w2"); got != 2 {
 		t.Fatalf("w2 got %d, want 2 (task 1 fully leased)", got)
 	}
-	// All slots leased → nothing for w3.
-	if _, _, err := s.Acquire(1, "w3"); !errors.Is(err, ErrNoTask) {
-		t.Fatalf("w3: got %v, want ErrNoTask", err)
+	// All slots leased → nothing for w3 yet, but a lease may free up.
+	if _, _, err := s.Acquire(1, "w3"); !errors.Is(err, ErrNoTask) || errors.Is(err, ErrNoTaskLeft) {
+		t.Fatalf("w3: got %v, want ErrNoTask (lease-blocked, not ErrNoTaskLeft)", err)
 	}
 }
 
@@ -223,8 +226,8 @@ func TestLeaseExpiryReclaim(t *testing.T) {
 	s.AddTask(1, 1, 0, 1)
 
 	mustAcquire(t, s, 1, "w1")
-	if _, _, err := s.Acquire(1, "w2"); !errors.Is(err, ErrNoTask) {
-		t.Fatalf("pre-expiry: got %v, want ErrNoTask", err)
+	if _, _, err := s.Acquire(1, "w2"); !errors.Is(err, ErrNoTask) || errors.Is(err, ErrNoTaskLeft) {
+		t.Fatalf("pre-expiry: got %v, want ErrNoTask (lease-blocked, not ErrNoTaskLeft)", err)
 	}
 	clock.Sleep(2 * time.Minute) // w1 walked away; the lease expires
 	if got := mustAcquire(t, s, 1, "w2"); got != 1 {

@@ -180,6 +180,9 @@ func TestSimDuelingPromotions(t *testing.T) {
 	}
 
 	// The prober sees both; the fence pass deposes the token-order loser.
+	// The loser is fenced as soon as it handles the fence RPC, but the
+	// gateway counts the fence only once the reply has crossed the
+	// simulated network, so the wait covers the counter too.
 	err = c.Await(time.Minute, "duel resolved", func() bool {
 		c.refreshRoles()
 		unfenced := 0
@@ -188,7 +191,7 @@ func TestSimDuelingPromotions(t *testing.T) {
 				unfenced++
 			}
 		}
-		return unfenced == 1
+		return unfenced == 1 && c.Gateway().Snapshot().Stats.Fences > 0
 	})
 	if err != nil {
 		t.Fatal(err)
