@@ -16,6 +16,9 @@
 //     Until, After, AfterFunc, Tick, NewTimer, NewTicker) — time.Time and
 //     time.Duration values, constructors like time.Date, and parsing are
 //     all fine, because they read no clock;
+//   - calls to runtime.Gosched: a yield loop is a wait timed by the OS
+//     scheduler, which the simulator cannot park or replay — block on a
+//     channel, a sync.Cond or the injected clock instead;
 //   - any import of math/rand or math/rand/v2;
 //   - a dot-import of time (it would hide the calls from this tool).
 //
@@ -164,8 +167,9 @@ func lintFile(path string, allow map[string]bool) ([]string, error) {
 		problems = append(problems, fmt.Sprintf("%s:%d:%d: %s", p.Filename, p.Line, p.Column, msg))
 	}
 
-	// Pass 1: imports. Find the local name of "time" and flag randomness.
-	timeName := ""
+	// Pass 1: imports. Find the local names of "time" and "runtime" and
+	// flag randomness.
+	timeName, runtimeName := "", ""
 	for _, imp := range file.Imports {
 		ipath, err := strconv.Unquote(imp.Path.Value)
 		if err != nil {
@@ -182,16 +186,22 @@ func lintFile(path string, allow map[string]bool) ([]string, error) {
 					timeName = ""
 				}
 			}
+		case "runtime":
+			runtimeName = "runtime"
+			if imp.Name != nil {
+				runtimeName = imp.Name.Name
+			}
 		case "math/rand", "math/rand/v2":
 			report(imp.Pos(), "import-math-rand",
 				fmt.Sprintf("import of %s: draw randomness from an injected vclock.Rand so scenarios replay from a seed", ipath))
 		}
 	}
-	if timeName == "" || timeName == "_" {
+	if timeName == "" && runtimeName == "" {
 		return problems, nil
 	}
 
-	// Pass 2: calls to the time package's clock functions.
+	// Pass 2: calls to the time package's clock functions and to
+	// runtime.Gosched.
 	ast.Inspect(file, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -202,11 +212,17 @@ func lintFile(path string, allow map[string]bool) ([]string, error) {
 			return true
 		}
 		pkg, ok := sel.X.(*ast.Ident)
-		if !ok || pkg.Name != timeName || !bannedClockFuncs[sel.Sel.Name] {
+		if !ok {
 			return true
 		}
-		report(call.Pos(), "time."+sel.Sel.Name,
-			fmt.Sprintf("time.%s reads the process clock: take a vclock.Clock (state/control-flow time) or use obs.Now/obs.Since (metric-only time)", sel.Sel.Name))
+		switch {
+		case pkg.Name == timeName && bannedClockFuncs[sel.Sel.Name]:
+			report(call.Pos(), "time."+sel.Sel.Name,
+				fmt.Sprintf("time.%s reads the process clock: take a vclock.Clock (state/control-flow time) or use obs.Now/obs.Since (metric-only time)", sel.Sel.Name))
+		case pkg.Name == runtimeName && sel.Sel.Name == "Gosched":
+			report(call.Pos(), "runtime.Gosched",
+				"runtime.Gosched makes a wait timed by the OS scheduler, which the simulator cannot park: block on a channel, a sync.Cond or the injected vclock.Clock")
+		}
 		return true
 	})
 	return problems, nil

@@ -18,10 +18,9 @@
 // Journal writes are group-committed: concurrent requests enqueue their
 // events and a single committer flushes them as one storage batch with
 // one fsync, so -sync always no longer serializes submissions behind
-// per-event disk latency. The committer flushes immediately; under load
-// the queue that builds up behind one fsync already forms the next group
-// (up to 1024 events), and the journal's adaptive accumulation window
-// widens it when the disk is the bottleneck.
+// per-event disk latency. The committer never waits for a group to
+// fill: it flushes whatever is queued (up to 1024 events), and under load
+// the events that queue up behind one fsync form the next group.
 //
 // The journal is bounded by a snapshot checkpointer: a background
 // goroutine materializes the committed event stream and periodically

@@ -5,8 +5,8 @@ import "time"
 // Now and Since are the observability layer's wall-clock reads, for code
 // in the clock-disciplined core packages (internal/{platform,sched,repl,
 // gate,storage}) that needs to *measure* real elapsed time — latency
-// histograms, perf heuristics like the journal's adaptive group-commit
-// window — without *acting* on wall time for any state decision.
+// histograms, the journal's per-flush commit latency — without *acting*
+// on wall time for any state decision.
 //
 // The determinism contract (docs/TESTING.md) splits time into two roles:
 // time that logic acts on (timeouts, TTLs, tickers, timestamps that enter

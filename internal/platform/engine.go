@@ -243,9 +243,6 @@ type EngineOptions struct {
 	// LeaseTTL is how long a task assignment stays reserved before the
 	// scheduler reclaims it. Defaults to sched.DefaultLeaseTTL.
 	LeaseTTL time.Duration
-	// Shards is the scheduler's lock-stripe count. Defaults to
-	// sched.DefaultShards.
-	Shards int
 	// Journal, when non-nil, is the write-ahead log the engine appends
 	// every mutation to. Any state already in the journal is replayed
 	// into the engine before NewEngineOpts returns.
@@ -291,7 +288,6 @@ func NewEngineOpts(opts EngineOptions) (*Engine, error) {
 		clock = vclock.NewVirtual()
 	}
 	schedOpts := sched.Options{
-		Shards:   opts.Shards,
 		LeaseTTL: opts.LeaseTTL,
 		Metrics:  opts.Metrics,
 	}

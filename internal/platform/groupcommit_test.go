@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -160,6 +159,76 @@ func TestGroupCommitAckSurvivesKill(t *testing.T) {
 	}
 }
 
+// heldSyncFS is a storage.FileOps whose active-segment fsyncs first call
+// the installed hold function, so a test decides what the journal
+// committer finds queued by the time a flush completes — on a condition,
+// not a timing window. With no hold installed it is the plain filesystem.
+type heldSyncFS struct {
+	mu   sync.Mutex
+	hold func()
+}
+
+func (fs *heldSyncFS) setHold(hold func()) {
+	fs.mu.Lock()
+	fs.hold = hold
+	fs.mu.Unlock()
+}
+
+func (fs *heldSyncFS) OpenWrite(path string) (storage.SegmentFile, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return heldSyncFile{File: f, fs: fs}, nil
+}
+
+func (fs *heldSyncFS) OpenTrunc(path string) (storage.SegmentFile, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+}
+
+func (fs *heldSyncFS) Truncate(path string, size int64) error {
+	return os.Truncate(path, size)
+}
+
+type heldSyncFile struct {
+	*os.File
+	fs *heldSyncFS
+}
+
+func (f heldSyncFile) Sync() error {
+	f.fs.mu.Lock()
+	hold := f.fs.hold
+	f.fs.mu.Unlock()
+	if hold != nil {
+		hold()
+	}
+	return f.File.Sync()
+}
+
+// flushingSubmits counts the submissions in the flush group whose fsync
+// is being held: staged and not yet acked, but no longer in the journal
+// queue. Every stripe lock is held so no Submit can enqueue between the
+// two counts.
+func flushingSubmits(e *Engine, j *Journal) int {
+	for i := range e.stripes {
+		e.stripes[i].mu.Lock()
+		defer e.stripes[i].mu.Unlock()
+	}
+	unacked := 0
+	for i := range e.stripes {
+		for _, sc := range e.stripes[i].submitQ {
+			select {
+			case <-sc.ticket.Done():
+			default:
+				unacked++
+			}
+		}
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return unacked - len(j.queue)
+}
+
 // TestGroupCommitContiguousAndAmortized is the -race concurrency test for
 // the pipeline: N goroutines submitting through one journal must produce
 // contiguous sequence numbers (the journal's density invariant), one
@@ -167,16 +236,13 @@ func TestGroupCommitAckSurvivesKill(t *testing.T) {
 // events.
 func TestGroupCommitContiguousAndAmortized(t *testing.T) {
 	dir := t.TempDir()
-	db, err := storage.Open(dir, storage.Options{Sync: storage.SyncAlways})
+	fs := &heldSyncFS{}
+	db, err := storage.Open(dir, storage.Options{Sync: storage.SyncAlways, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	// An explicit accumulation window makes the grouping deterministic
-	// even when the test host serializes the goroutines (e.g. a loaded
-	// CI box): every flush waits long enough for all free submitters to
-	// join, so groups of 1 cannot dominate by scheduling accident.
-	j, err := OpenJournalOpts(db, JournalOptions{FlushInterval: 2 * time.Millisecond})
+	j, err := OpenJournal(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +270,30 @@ func TestGroupCommitContiguousAndAmortized(t *testing.T) {
 	preEvents := j.Len()
 	preSyncs := db.Stats().Syncs
 
+	// Hold every fsync of the submit phase until each submitter still
+	// running waits on the journal, queued behind the held flush or in
+	// it. Groups then form the way they do when an fsync is slow, and
+	// not by how the host happens to schedule the goroutines.
+	running := workers // guarded by j.mu
+	fs.setHold(func() {
+		inFlight := flushingSubmits(e, j)
+		j.mu.Lock()
+		for len(j.queue)+inFlight < running {
+			j.cond.Wait() // Enqueue signals; a leaving submitter broadcasts
+		}
+		j.mu.Unlock()
+	})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				j.mu.Lock()
+				running--
+				j.cond.Broadcast()
+				j.mu.Unlock()
+			}()
 			for i := w * perW; i < (w+1)*perW; i++ {
 				if _, err := e.Submit(tasks[i].ID, fmt.Sprintf("w%d", w), "a"); err != nil {
 					t.Errorf("submit: %v", err)
@@ -218,6 +303,7 @@ func TestGroupCommitContiguousAndAmortized(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	fs.setHold(nil)
 
 	runs := workers * perW
 	if got := j.Len() - preEvents; got != uint64(runs) {
@@ -242,9 +328,9 @@ func TestGroupCommitContiguousAndAmortized(t *testing.T) {
 		t.Fatalf("replay saw %d events, journal Len %d", count, j.Len())
 	}
 	// Group commit actually grouped: under SyncAlways with 8 concurrent
-	// submitters and a 2ms accumulation window, fsyncs must come in well
-	// under one per run — a broken pipeline (one fsync per event) trips
-	// this immediately.
+	// submitters queueing behind each held fsync, fsyncs must come in
+	// well under one per run — a broken pipeline (one fsync per event)
+	// trips this immediately.
 	syncs := db.Stats().Syncs - preSyncs
 	if syncs*2 > uint64(runs) {
 		t.Fatalf("no fsync amortization: %d syncs for %d runs", syncs, runs)

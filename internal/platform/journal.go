@@ -3,7 +3,6 @@ package platform
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
 // Op names a journal event type.
@@ -139,45 +137,21 @@ type Journal struct {
 	codecTick atomic.Uint64
 }
 
-// JournalOptions tune the group-commit pipeline. The zero value is usable.
+// JournalOptions configure a journal. The zero value is usable.
 type JournalOptions struct {
-	// MaxBatch caps how many events one storage batch frame carries.
-	// Defaults to 1024.
-	MaxBatch int
-	// MaxBatchBytes caps the encoded payload of one batch frame; a group
-	// exceeding it is split across frames (still in order). Defaults to
-	// 8 MiB.
-	MaxBatchBytes int
-	// FlushInterval is how long the committer waits after the first
-	// pending event before draining, letting more appenders join the
-	// group. 0 flushes immediately — lowest latency, and under load the
-	// queue that builds up behind one fsync already forms the next group.
-	FlushInterval time.Duration
-	// Clock paces the committer's FlushInterval wait. Nil defaults to
-	// wall time; a simulated cluster injects its vclock.Sim so the
-	// accumulation window elapses in virtual time. (The adaptive
-	// accumulation heuristic and the commit-latency counters measure
-	// real elapsed time through obs.Now regardless — they observe the
-	// disk, they never gate state; see docs/TESTING.md.)
-	Clock vclock.Clock
 	// Metrics, when non-nil, registers the journal's families (commit
 	// latency histogram, queue depth, flush counters). Nil disables
 	// instrumentation at zero hot-path cost.
 	Metrics *obs.Registry
 }
 
-func (o JournalOptions) withDefaults() JournalOptions {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 1024
-	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 8 << 20
-	}
-	if o.Clock == nil {
-		o.Clock = vclock.NewWall()
-	}
-	return o
-}
+const (
+	// maxBatch caps how many events one flush group carries.
+	maxBatch = 1024
+	// maxBatchBytes caps the encoded payload of one storage batch frame;
+	// a group exceeding it is split across frames (still in order).
+	maxBatchBytes = 8 << 20
+)
 
 // Ticket is a pending append: the handle an enqueued event's producer
 // waits on for the committer's durability acknowledgement. Under a
@@ -242,7 +216,7 @@ func OpenJournal(db *storage.DB) (*Journal, error) {
 	return OpenJournalOpts(db, JournalOptions{})
 }
 
-// OpenJournalOpts is OpenJournal with explicit group-commit tuning. It
+// OpenJournalOpts is OpenJournal with explicit options. It
 // starts the committer goroutine; Close stops it after draining.
 func OpenJournalOpts(db *storage.DB, opts JournalOptions) (*Journal, error) {
 	next, first, err := journalNext(db)
@@ -259,7 +233,7 @@ func OpenJournalOpts(db *storage.DB, opts JournalOptions) (*Journal, error) {
 		next:    next,
 		first:   first,
 		epoch:   tok,
-		opts:    opts.withDefaults(),
+		opts:    opts,
 	}
 	j.cond = sync.NewCond(&j.mu)
 	if reg := j.opts.Metrics; reg != nil {
@@ -571,15 +545,12 @@ func (j *Journal) barrier() *Ticket {
 // error when closed or poisoned (the drained prefix is still committed).
 func (j *Journal) Flush() error { return j.barrier().Wait() }
 
-// run is the committer loop: drain whatever queued, commit it as one
-// storage batch frame, wake the group, repeat.
+// run is the committer loop: wait for a non-empty queue, take up to
+// maxBatch events, commit them as one storage batch frame, wake the
+// group, repeat. It never waits for a group to fill: under load, the
+// appends that queue up behind one fsync form the next group.
 func (j *Journal) run() {
 	defer j.wg.Done()
-	// lastGroup is the previous flush's size (1 ⇒ a lone writer, skip
-	// accumulation); peakGroup is the largest group seen, the estimate of
-	// how many committers are in flight — once the queue reaches it there
-	// is no one left to wait for.
-	lastGroup, peakGroup := 0, 0
 	for {
 		j.mu.Lock()
 		for len(j.queue) == 0 && !j.closed {
@@ -589,57 +560,12 @@ func (j *Journal) run() {
 			j.mu.Unlock()
 			return
 		}
-		switch {
-		case j.opts.FlushInterval > 0 && !j.closed:
-			// Fixed accumulation window: let more appenders join the
-			// group before draining. A queue already at MaxBatch can't
-			// grow its group, so don't make it wait.
-			if len(j.queue) < j.opts.MaxBatch {
-				j.mu.Unlock()
-				j.opts.Clock.Sleep(j.opts.FlushInterval)
-				j.mu.Lock()
-			}
-		case lastGroup > 1 && !j.closed:
-			// Adaptive accumulation: a multi-event group just flushed,
-			// so its waiters are re-staging right now — keep collecting
-			// while the queue is still growing (20µs stall tolerance
-			// for stragglers crossing the engine lock), bounded by one
-			// mean commit latency so a burst that ended costs at most a
-			// fraction of the flush it precedes. Cheap fsyncs get tight
-			// windows, disk-bound ones can afford to fill the group. A
-			// lone writer (lastGroup 1) never waits.
-			window := j.meanCommit()
-			if window > 2*time.Millisecond {
-				window = 2 * time.Millisecond
-			}
-			const stallTolerance = 20 * time.Microsecond
-			deadline := obs.Now().Add(window)
-			prev, lastGrow := len(j.queue), obs.Now()
-			for len(j.queue) < peakGroup {
-				j.mu.Unlock()
-				runtime.Gosched()
-				j.mu.Lock()
-				now := obs.Now()
-				if len(j.queue) > prev {
-					prev, lastGrow = len(j.queue), now
-				} else if now.Sub(lastGrow) > stallTolerance || now.After(deadline) {
-					break
-				}
-			}
-		}
-		n := len(j.queue)
-		if n > j.opts.MaxBatch {
-			n = j.opts.MaxBatch
-		}
+		n := min(len(j.queue), maxBatch)
 		group := j.queue[:n:n]
 		j.queue = j.queue[n:]
 		fail := j.failed
 		base := j.next
 		j.mu.Unlock()
-		lastGroup = len(group)
-		if lastGroup > peakGroup {
-			peakGroup = lastGroup
-		}
 
 		if fail == nil {
 			var committed uint64
@@ -700,16 +626,6 @@ func (j *Journal) run() {
 			close(t.done)
 		}
 	}
-}
-
-// meanCommit is the observed average flush latency (Apply+Sync), the
-// committer's estimate of what one disk round costs right now.
-func (j *Journal) meanCommit() time.Duration {
-	n := j.nFlushes.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(j.commitNanos.Load() / n)
 }
 
 // flush commits group as one batch frame (split only if it exceeds the
@@ -780,7 +696,7 @@ func (j *Journal) flush(base uint64, group []*Ticket) (uint64, error) {
 			}
 			t.size = len(buf)
 		}
-		if bytes > 0 && bytes+len(buf) > j.opts.MaxBatchBytes {
+		if bytes > 0 && bytes+len(buf) > maxBatchBytes {
 			if err := commit(); err != nil {
 				return committed, err
 			}

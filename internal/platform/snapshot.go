@@ -447,18 +447,16 @@ type CheckpointOptions struct {
 	// EveryBytes cuts after this many bytes of encoded journal growth
 	// since the last snapshot. 0 disables the byte trigger.
 	EveryBytes int64
-	// CompactDeadFraction forwards to storage.CompactIfNeeded after each
-	// truncation, reclaiming the dead journal prefix on disk. 0 defaults
-	// to 0.5; negative disables compaction.
-	CompactDeadFraction float64
 	// CompactMinBytes is CompactIfNeeded's size floor. 0 defaults to 1 MiB.
 	CompactMinBytes int64
 }
 
+// compactDeadFraction is the dead-byte share at which the checkpointer
+// compacts the store after each truncation (storage.CompactIfNeeded),
+// reclaiming the dead journal prefix on disk.
+const compactDeadFraction = 0.5
+
 func (o CheckpointOptions) withDefaults() CheckpointOptions {
-	if o.CompactDeadFraction == 0 {
-		o.CompactDeadFraction = 0.5
-	}
 	if o.CompactMinBytes <= 0 {
 		o.CompactMinBytes = 1 << 20
 	}
@@ -762,8 +760,8 @@ func (c *Checkpointer) cut() error {
 		maintErr = err
 	}
 	compacted := false
-	if maintErr == nil && c.opts.CompactDeadFraction >= 0 {
-		compacted, err = c.db.CompactIfNeeded(c.opts.CompactDeadFraction, c.opts.CompactMinBytes)
+	if maintErr == nil {
+		compacted, err = c.db.CompactIfNeeded(compactDeadFraction, c.opts.CompactMinBytes)
 		if err != nil {
 			maintErr = err
 		}

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -453,26 +453,36 @@ func TestJournalFastAckNonDurable(t *testing.T) {
 
 	// A durable journal still makes callers wait for the flush: the ack
 	// channel must not be pre-closed at enqueue time under SyncAlways.
+	// The event's fsync is held while the ticket is checked, then
+	// released.
 	dirA := t.TempDir()
-	dbA, err := storage.Open(dirA, storage.Options{Sync: storage.SyncAlways})
+	fsA := &heldSyncFS{}
+	dbA, err := storage.Open(dirA, storage.Options{Sync: storage.SyncAlways, FS: fsA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dbA.Close()
-	jA, err := OpenJournalOpts(dbA, JournalOptions{FlushInterval: 20 * time.Millisecond})
+	jA, err := OpenJournal(dbA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jA.Close()
+	syncing, release := make(chan struct{}), make(chan struct{})
+	fsA.setHold(sync.OnceFunc(func() {
+		close(syncing)
+		<-release
+	}))
 	ticket, err := jA.Enqueue(Event{Op: OpBan, ProjectID: 1, Worker: "slow"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-syncing
 	select {
 	case <-ticket.Done():
-		t.Fatal("durable enqueue acked before the flush")
+		t.Error("durable enqueue acked before the flush")
 	default:
 	}
+	close(release)
 	if err := ticket.Wait(); err != nil {
 		t.Fatal(err)
 	}

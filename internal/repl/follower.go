@@ -38,10 +38,9 @@ type FollowerOptions struct {
 	// inject a vclock.SeededRand for a reconnect schedule reproducible
 	// from a seed.
 	Rand vclock.Rand
-	// LeaseTTL / Shards configure the replica engine's scheduler,
-	// exactly as EngineOptions would.
+	// LeaseTTL configures the replica engine's scheduler, exactly as
+	// EngineOptions would.
 	LeaseTTL time.Duration
-	Shards   int
 	// HTTP is the client used against the leader; nil builds one. Its
 	// Timeout is ignored for the stream (which long-polls); per-request
 	// deadlines are derived from PollWait instead.
@@ -49,19 +48,12 @@ type FollowerOptions struct {
 	// PollWait is the long-poll window asked of the leader (default 10s,
 	// capped by the leader at 30s).
 	PollWait time.Duration
-	// MaxBatch caps events per poll response (default 4096).
-	MaxBatch int
-	// ReconnectBackoff is the delay after a failed poll, doubling up to
-	// 5s (default 100ms). The follower retries forever — a leader
-	// restart is routine, not fatal.
-	ReconnectBackoff time.Duration
 	// DataDir, when set, is where Promote materializes the follower's
 	// state and opens its own journal. Empty means an ephemeral
 	// promotion: writable, but unjournaled until restarted with -data.
 	DataDir string
-	// Storage / Journal configure the promotion store and journal.
+	// Storage configures the promotion store.
 	Storage storage.Options
-	Journal platform.JournalOptions
 	// Checkpoint configures the snapshot checkpointer a durable
 	// promotion attaches (the promoted leader must keep folding its
 	// journal, or post-failover history grows unbounded and gen-2
@@ -86,20 +78,19 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 	if o.PollWait <= 0 {
 		o.PollWait = 10 * time.Second
 	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = defaultStreamMax
-	}
-	if o.ReconnectBackoff <= 0 {
-		o.ReconnectBackoff = 100 * time.Millisecond
-	}
 	if o.LoopClock == nil {
 		o.LoopClock = vclock.NewWall()
 	}
 	return o
 }
 
-// maxReconnectBackoff caps the follower's retry delay.
-const maxReconnectBackoff = 5 * time.Second
+// The follower's delay after a failed poll starts at reconnectBackoff and
+// doubles up to maxReconnectBackoff. It retries forever — a leader
+// restart is routine, not fatal.
+const (
+	reconnectBackoff    = 100 * time.Millisecond
+	maxReconnectBackoff = 5 * time.Second
+)
 
 // Follower is a read replica: an engine bootstrapped from the leader's
 // snapshot + journal tail, kept current by applying the live stream
@@ -152,11 +143,9 @@ func StartFollower(opts FollowerOptions) (*Follower, error) {
 	// The registry flows into everything the follower builds: the replica
 	// engine now, the promotion store/journal later.
 	opts.Storage.Metrics = opts.Metrics
-	opts.Journal.Metrics = opts.Metrics
 	engine, err := platform.NewEngineOpts(platform.EngineOptions{
 		Clock:    opts.Clock,
 		LeaseTTL: opts.LeaseTTL,
-		Shards:   opts.Shards,
 		OwnsID:   opts.OwnsID,
 		Metrics:  opts.Metrics,
 	})
@@ -403,7 +392,7 @@ func (f *Follower) rebootstrap() error {
 // reconnect — a leader restart costs a few retries, nothing else.
 func (f *Follower) loop() {
 	defer close(f.done)
-	backoff := f.opts.ReconnectBackoff
+	backoff := reconnectBackoff
 	for {
 		select {
 		case <-f.ctx.Done():
@@ -420,7 +409,7 @@ func (f *Follower) loop() {
 				// reload it in place and resume the stream at its cut.
 				err = f.rebootstrap()
 				if err == nil {
-					backoff = f.opts.ReconnectBackoff
+					backoff = reconnectBackoff
 					continue
 				}
 			}
@@ -433,7 +422,7 @@ func (f *Follower) loop() {
 			backoff = min(backoff*2, maxReconnectBackoff)
 			continue
 		}
-		backoff = f.opts.ReconnectBackoff
+		backoff = reconnectBackoff
 		_ = n
 	}
 }
@@ -447,7 +436,7 @@ func (f *Follower) poll() (int, error) {
 	from := f.appliedSeq
 	f.mu.Unlock()
 	u := fmt.Sprintf("%s/api/repl/stream?from=%d&wait=%s&max=%d",
-		f.base, from, url.QueryEscape(f.opts.PollWait.String()), f.opts.MaxBatch)
+		f.base, from, url.QueryEscape(f.opts.PollWait.String()), defaultStreamMax)
 	ctx, cancel := context.WithTimeout(f.ctx, f.opts.PollWait+15*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
@@ -721,7 +710,7 @@ func (f *Follower) promote(tok platform.EpochToken) (promoted, error) {
 			return fail(err)
 		}
 	}
-	j, err := platform.OpenJournalOpts(db, f.opts.Journal)
+	j, err := platform.OpenJournalOpts(db, platform.JournalOptions{Metrics: f.opts.Metrics})
 	if err != nil {
 		return fail(fmt.Errorf("repl: promote: open journal: %w", err))
 	}

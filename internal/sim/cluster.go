@@ -263,7 +263,7 @@ func (c *Cluster) startLeader(name string) error {
 	if err != nil {
 		return fmt.Errorf("sim: %s store: %w", name, err)
 	}
-	j, err := platform.OpenJournalOpts(db, platform.JournalOptions{Clock: c.Clock})
+	j, err := platform.OpenJournal(db)
 	if err != nil {
 		db.Close()
 		return fmt.Errorf("sim: %s journal: %w", name, err)
@@ -584,7 +584,6 @@ func (c *Cluster) startFollowerOf(name, partition, leaderName string) error {
 		OwnsID:    c.owns(partition),
 		DataDir:   promoDir,
 		Storage:   storage.Options{Sync: c.cfg.syncPolicy(), Clock: c.Clock, FS: ffs},
-		Journal:   platform.JournalOptions{Clock: c.Clock},
 		Checkpoint: platform.CheckpointOptions{
 			EveryEvents:     c.cfg.CheckpointEvery,
 			CompactMinBytes: 32 << 10,
@@ -641,9 +640,8 @@ func (c *Cluster) Await(budget time.Duration, what string, cond func() bool) err
 			runtime.Gosched()
 		}
 		// A real (if tiny) sleep, not just Gosched: background goroutines
-		// that poll in yield loops of their own (the journal's adaptive
-		// committer, an HTTP pump between requests) need the OS scheduler
-		// to actually run them, same as vclock.Sim's settle.
+		// such as an HTTP pump between requests need the OS scheduler to
+		// actually run them, same as vclock.Sim's settle.
 		time.Sleep(50 * time.Microsecond)
 		if cond() {
 			return nil
