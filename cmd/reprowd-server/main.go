@@ -11,9 +11,11 @@
 // at most in-flight leases (which expire by design), never accepted
 // projects, tasks or answers — the paper's crash-and-rerun guarantee
 // extended from the client library to the platform itself. -sync batch
-// and never trade that tail for throughput: a hard kill may lose the
-// last unsynced interval of acknowledged writes (integrity is still
-// guaranteed; replay stops at the torn tail).
+// and never trade that tail for latency: writes are acknowledged when
+// they are queued, not when they are on disk. Under batch the committer
+// still fsyncs every group it writes, so a hard kill loses only the
+// groups queued or in flight; under never the OS decides when bytes
+// reach disk. Integrity holds either way: replay stops at the torn tail.
 //
 // Journal writes are group-committed: concurrent requests enqueue their
 // events and a single committer flushes them as one storage batch with
@@ -99,7 +101,7 @@ func main() {
 		dataDir = flag.String("data", "",
 			"journal directory; empty runs in-memory only (state dies with the process)")
 		syncMode = flag.String("sync", "always",
-			"journal durability: always (fsync per write), batch (group commit), never")
+			"journal durability: always (ack after fsync), batch (ack at enqueue, fsync each group), never (ack at enqueue, no fsync)")
 		breakStaleLock = flag.Bool("break-stale-lock", false,
 			"take over a data directory whose previous owner died without cleanup")
 		leaseTTL = flag.Duration("lease-ttl", 0,
@@ -196,7 +198,6 @@ func main() {
 			Metrics:   reg,
 			Storage: storage.Options{
 				Sync:           policy,
-				SyncInterval:   50 * time.Millisecond,
 				BreakStaleLock: *breakStaleLock,
 			},
 			// A promoted follower is a full leader: its seeded journal
@@ -235,7 +236,6 @@ func main() {
 		}
 		db, err = storage.Open(*dataDir, storage.Options{
 			Sync:           policy,
-			SyncInterval:   50 * time.Millisecond,
 			BreakStaleLock: *breakStaleLock,
 			Metrics:        reg,
 		})

@@ -83,12 +83,16 @@ func ParseEpochToken(s string) (EpochToken, error) {
 // exactly like the truncation record does).
 const journalEpochKey = "jm/epoch"
 
-// SetJournalEpoch durably records tok as the store's fencing token. The
-// promotion path writes it next to SeedJournalCut, before the journal
-// opens, so a promoted leader restarted at any later point recovers the
-// epoch it was promoted in.
+// SetJournalEpoch durably records tok as the store's fencing token,
+// fsynced whatever the store's sync policy: a fenced journal commits no
+// further groups, so nothing else would carry the token to disk before
+// Close. The promotion path writes it next to SeedJournalCut, before the
+// journal opens, so a promoted leader restarted at any later point
+// recovers the epoch it was promoted in.
 func SetJournalEpoch(db *storage.DB, tok EpochToken) error {
-	if err := db.Put([]byte(journalEpochKey), []byte(tok.String())); err != nil {
+	b := storage.NewBatch()
+	b.Put([]byte(journalEpochKey), []byte(tok.String()))
+	if err := db.ApplyDurable(b); err != nil {
 		return fmt.Errorf("platform: set journal epoch: %w", err)
 	}
 	return nil

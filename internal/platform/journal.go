@@ -71,19 +71,27 @@ var ErrJournalClosed = errors.New("platform: journal is closed")
 // possibly-torn frame could corrupt the log, so refusing further appends
 // is what preserves both the durable prefix and the density invariant.
 //
-// When the store's sync policy does not promise durability per write
-// (SyncBatch/SyncNever), Enqueue acks immediately instead of waiting for
-// the committer: the event is encoded and validated at enqueue time, its
-// order is fixed by the queue position, and the flush happens behind the
-// acknowledgement — the exact tail-loss window the sync policy already
-// accepts. Only SyncAlways pays the committer round trip, because only
-// SyncAlways promises the event is on disk when the append returns. The
-// widened window has one consequence beyond crash loss: if the deferred
-// flush itself fails (disk full), the already-acked events are lost even
-// though the process survives. The journal's fail-stop poisoning makes
-// that state loud — every later append errors — and the process should
-// be restarted to re-converge memory with the log; callers that cannot
-// accept any acked-but-lost write must run SyncAlways.
+// The store's sync policy decides two things, and the committer is the
+// one place that acts on them:
+//
+//   - When an append is acked. Only SyncAlways waits for the committer,
+//     because only SyncAlways promises the event is on disk when the
+//     append returns. Under SyncBatch/SyncNever, Enqueue acks at once:
+//     the event is encoded and validated at enqueue time, its order is
+//     fixed by the queue position, and the flush happens behind the ack.
+//   - Whether each group is fsynced. Every policy but SyncNever commits
+//     each group with ApplyDurable. Under SyncBatch a crash therefore
+//     loses only the groups queued or in flight, and every event acked
+//     before a Flush that has returned is on disk. Under SyncNever the
+//     OS decides when the bytes reach disk.
+//
+// Acking at enqueue has one consequence beyond crash loss: if the
+// deferred flush itself fails (disk full), the already-acked events are
+// lost even though the process survives. The journal's fail-stop
+// poisoning makes that state loud — every later append errors — and the
+// process should be restarted to re-converge memory with the log;
+// callers that cannot accept any acked-but-lost write must run
+// SyncAlways.
 //
 // A snapshot checkpointer (see Checkpointer) may truncate the journal's
 // covered prefix: sequence numbers stay dense in [FirstSeq(), Len()), the
@@ -95,8 +103,9 @@ var ErrJournalClosed = errors.New("platform: journal is closed")
 // reclaims them all, which is exactly lease-expiry semantics), while
 // projects, tasks and runs are the durable record.
 type Journal struct {
-	db      *storage.DB
-	durable bool // store opened with SyncAlways: every flush must reach disk
+	db         *storage.DB
+	fastAck    bool // ack at enqueue: the store's policy is not SyncAlways
+	syncGroups bool // commit each group with ApplyDurable: the policy is not SyncNever
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -228,12 +237,13 @@ func OpenJournalOpts(db *storage.DB, opts JournalOptions) (*Journal, error) {
 		return nil, fmt.Errorf("platform: journal open: %w", err)
 	}
 	j := &Journal{
-		db:      db,
-		durable: db.Policy() == storage.SyncAlways,
-		next:    next,
-		first:   first,
-		epoch:   tok,
-		opts:    opts,
+		db:         db,
+		fastAck:    db.Policy() != storage.SyncAlways,
+		syncGroups: db.Policy() != storage.SyncNever,
+		next:       next,
+		first:      first,
+		epoch:      tok,
+		opts:       opts,
 	}
 	j.cond = sync.NewCond(&j.mu)
 	if reg := j.opts.Metrics; reg != nil {
@@ -372,13 +382,13 @@ func (j *Journal) Fence(tok EpochToken) error {
 }
 
 // newTicket builds the ticket for ev, pre-encoding and immediately acking
-// it on the fast path (non-durable sync policy): the sync policy already
+// it on the fast path (any policy but SyncAlways): the sync policy already
 // tolerates losing an acked tail on crash, so there is nothing for the
 // caller to wait on — the encode/size validation that could fail the
 // event happens here instead, and the committer flushes behind the ack.
 func (j *Journal) newTicket(ev Event) (*Ticket, error) {
 	t := &Ticket{ev: ev, done: make(chan struct{})}
-	if !j.durable {
+	if j.fastAck {
 		buf, pbuf, err := j.encodeEvent(&t.ev)
 		if err != nil {
 			return nil, err
@@ -421,8 +431,9 @@ func (j *Journal) encodeEvent(ev *Event) ([]byte, *[]byte, error) {
 // never blocks on the disk, so callers may enqueue while holding their own
 // state lock (which fixes the journal order to their commit order) and
 // wait after releasing it. Under SyncBatch/SyncNever the ticket comes
-// back already acked (Wait returns nil immediately): durability was never
-// promised, so the caller does not pay the committer round trip.
+// back already acked (Wait returns nil immediately): durability at ack
+// was never promised, so the caller does not pay the committer round
+// trip (Flush is the fence that waits for it).
 func (j *Journal) Enqueue(ev Event) (*Ticket, error) {
 	t, err := j.newTicket(ev)
 	if err != nil {
@@ -538,11 +549,12 @@ func (j *Journal) barrier() *Ticket {
 }
 
 // Flush blocks until every append acknowledged before the call is
-// committed: the journal's length and its observer taps reflect it.
-// Fast-acked appends (SyncNever) make acknowledgement run ahead of the
-// committer; Flush is the fence that closes the gap — the simulation
-// harness uses it to define "quiesced". Returns the journal's terminal
-// error when closed or poisoned (the drained prefix is still committed).
+// committed: the journal's length and its observer taps reflect it, and
+// under SyncAlways/SyncBatch the events are on disk. Fast-acked appends
+// (SyncBatch/SyncNever) make acknowledgement run ahead of the committer;
+// Flush is the fence that closes the gap — the simulation harness uses
+// it to define "quiesced". Returns the journal's terminal error when
+// closed or poisoned (the drained prefix is still committed).
 func (j *Journal) Flush() error { return j.barrier().Wait() }
 
 // run is the committer loop: wait for a non-empty queue, take up to
@@ -653,7 +665,7 @@ func (j *Journal) flush(base uint64, group []*Ticket) (uint64, error) {
 			return nil
 		}
 		var err error
-		if j.durable {
+		if j.syncGroups {
 			err = j.db.ApplyDurable(batch)
 		} else {
 			err = j.db.Apply(batch)
@@ -947,6 +959,3 @@ func (j *Journal) replayFrom(start uint64, fn func(seq uint64, ev Event, size in
 	}
 	return ferr
 }
-
-// Sync flushes the journal's store to stable storage.
-func (j *Journal) Sync() error { return j.db.Sync() }

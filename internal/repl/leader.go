@@ -67,15 +67,10 @@ type Leader struct {
 	eventsStreamed atomic.Uint64
 }
 
-// NewLeader binds a replication feed to a journal and its backing store,
-// pacing long-poll waits on the wall clock. Close detaches the tap.
-func NewLeader(j *platform.Journal, db *storage.DB) *Leader {
-	return NewLeaderClock(j, db, nil)
-}
-
-// NewLeaderClock is NewLeader with an injected clock for the stream's
-// long-poll deadlines (nil defaults to wall time). A simulated cluster
-// passes its vclock.Sim so a "10s" poll window elapses in virtual time.
+// NewLeaderClock binds a replication feed to a journal and its backing
+// store, pacing the stream's long-poll deadlines on clock (nil defaults
+// to wall time). A simulated cluster passes its vclock.Sim so a "10s"
+// poll window elapses in virtual time. Close detaches the tap.
 func NewLeaderClock(j *platform.Journal, db *storage.DB, clock vclock.Clock) *Leader {
 	if clock == nil {
 		clock = vclock.NewWall()

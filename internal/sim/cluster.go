@@ -259,7 +259,7 @@ func (c *Cluster) startLeader(name string) error {
 		return err
 	}
 	ffs := storage.NewFaultFS(nil)
-	db, err := storage.Open(dir, storage.Options{Sync: c.cfg.syncPolicy(), Clock: c.Clock, FS: ffs})
+	db, err := storage.Open(dir, storage.Options{Sync: c.cfg.syncPolicy(), FS: ffs})
 	if err != nil {
 		return fmt.Errorf("sim: %s store: %w", name, err)
 	}
@@ -583,7 +583,7 @@ func (c *Cluster) startFollowerOf(name, partition, leaderName string) error {
 		LeaseTTL:  c.cfg.LeaseTTL,
 		OwnsID:    c.owns(partition),
 		DataDir:   promoDir,
-		Storage:   storage.Options{Sync: c.cfg.syncPolicy(), Clock: c.Clock, FS: ffs},
+		Storage:   storage.Options{Sync: c.cfg.syncPolicy(), FS: ffs},
 		Checkpoint: platform.CheckpointOptions{
 			EveryEvents:     c.cfg.CheckpointEvery,
 			CompactMinBytes: 32 << 10,

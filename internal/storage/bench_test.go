@@ -26,7 +26,6 @@ func benchPut(b *testing.B, pol SyncPolicy, valSize int) {
 }
 
 func BenchmarkPut_SyncNever_128B(b *testing.B)  { benchPut(b, SyncNever, 128) }
-func BenchmarkPut_SyncBatch_128B(b *testing.B)  { benchPut(b, SyncBatch, 128) }
 func BenchmarkPut_SyncAlways_128B(b *testing.B) { benchPut(b, SyncAlways, 128) }
 func BenchmarkPut_SyncNever_4KiB(b *testing.B)  { benchPut(b, SyncNever, 4096) }
 

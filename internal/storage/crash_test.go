@@ -9,10 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
-
-func time_ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 // copyDir snapshots src into a fresh directory, skipping the LOCK file —
 // exactly the on-disk image a crashed process would leave behind (our

@@ -30,10 +30,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/vclock"
 )
 
 // SyncPolicy controls when appended frames are fsynced.
@@ -42,8 +40,11 @@ type SyncPolicy int
 const (
 	// SyncAlways fsyncs after every write. Slowest, fully durable.
 	SyncAlways SyncPolicy = iota
-	// SyncBatch fsyncs on a background interval (group commit) and at
-	// explicit Sync/Close calls. A crash may lose the last interval.
+	// SyncBatch does not fsync a plain Put/Delete/Apply; ApplyDurable,
+	// Sync, Close and segment rotation still do. Its caller owns the
+	// group commit: the platform journal acks at enqueue and commits each
+	// group with ApplyDurable, so a crash loses only the groups queued or
+	// in flight.
 	SyncBatch
 	// SyncNever leaves flushing to the OS. A crash may lose any unflushed
 	// data; integrity is still guaranteed by frame CRCs.
@@ -57,9 +58,6 @@ type Options struct {
 	MaxSegmentBytes int64
 	// Sync selects the fsync policy. Defaults to SyncAlways.
 	Sync SyncPolicy
-	// SyncInterval is the group-commit interval for SyncBatch.
-	// Defaults to 50ms.
-	SyncInterval time.Duration
 	// Repair salvages the valid prefix of a sealed segment whose tail
 	// fails validation instead of refusing to open. Data after the first
 	// bad frame of that segment is lost.
@@ -76,10 +74,6 @@ type Options struct {
 	// compaction latency histograms, operation counters, size gauges).
 	// Nil disables instrumentation at zero hot-path cost.
 	Metrics *obs.Registry
-	// Clock paces the SyncBatch background flush loop. Nil defaults to
-	// wall time; a simulated cluster injects its vclock.Sim so the sync
-	// cadence elapses in virtual time.
-	Clock vclock.Clock
 	// FS seams the segment write path for fault injection (see FaultFS).
 	// Nil uses the real filesystem. A write error through this seam
 	// fail-stops the store: every later mutation returns ErrFailed — the
@@ -91,12 +85,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxSegmentBytes <= 0 {
 		o.MaxSegmentBytes = 64 << 20
-	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 50 * time.Millisecond
-	}
-	if o.Clock == nil {
-		o.Clock = vclock.NewWall()
 	}
 	if o.FS == nil {
 		o.FS = osFileOps{}
@@ -163,10 +151,6 @@ type DB struct {
 	files map[uint32]*os.File
 
 	lockFile string
-
-	stopSync chan struct{}
-	syncWG   sync.WaitGroup
-	needSync atomic.Bool
 
 	nPuts, nGets, nDeletes, nSyncs atomic.Uint64
 	nApplies, nSyncElides          atomic.Uint64
@@ -275,11 +259,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	db.durableSeq = db.seq
 	db.initMetrics(opts.Metrics)
-	if opts.Sync == SyncBatch {
-		db.stopSync = make(chan struct{})
-		db.syncWG.Add(1)
-		go db.syncLoop()
-	}
 	return db, nil
 }
 
@@ -561,15 +540,12 @@ func (db *DB) appendLocked(kind byte, key, val []byte) error {
 }
 
 func (db *DB) maybeSyncLocked() error {
-	switch db.opts.Sync {
-	case SyncAlways:
+	if db.opts.Sync == SyncAlways {
 		db.nSyncs.Add(1)
 		if err := db.fsyncActive(); err != nil {
 			return db.failLocked(err)
 		}
 		db.durableSeq = db.seq
-	case SyncBatch:
-		db.needSync.Store(true)
 	}
 	return nil
 }
@@ -802,7 +778,6 @@ func (db *DB) Sync() error {
 		return db.failed
 	}
 	db.nSyncs.Add(1)
-	db.needSync.Store(false)
 	if err := db.fsyncActive(); err != nil {
 		return db.failLocked(err)
 	}
@@ -811,8 +786,8 @@ func (db *DB) Sync() error {
 }
 
 // syncThrough makes every frame with sequence < seq durable, issuing an
-// fsync only when a previous one (another caller's, the batch loop's, or a
-// rotation's) has not already covered it. This is the coalescing point of
+// fsync only when a previous one (another caller's, an explicit Sync's, or
+// a rotation's) has not already covered it. This is the coalescing point of
 // the group-commit path: N concurrent committers share one fsync.
 func (db *DB) syncThrough(seq uint64) error {
 	db.mu.Lock()
@@ -833,35 +808,7 @@ func (db *DB) syncThrough(seq uint64) error {
 		return db.failLocked(err)
 	}
 	db.durableSeq = target
-	db.needSync.Store(false)
 	return nil
-}
-
-func (db *DB) syncLoop() {
-	defer db.syncWG.Done()
-	// Re-armed After instead of a ticker: the injected clock (wall in
-	// production, vclock.Sim under simulation) owns the cadence either
-	// way, and a fresh timer per round is exactly a ticker that cannot
-	// backlog.
-	for {
-		select {
-		case <-db.stopSync:
-			return
-		case <-db.opts.Clock.After(db.opts.SyncInterval):
-			if db.needSync.Swap(false) {
-				db.mu.Lock()
-				if !db.closed && db.failed == nil {
-					db.nSyncs.Add(1)
-					if err := db.fsyncActive(); err == nil {
-						db.durableSeq = db.seq
-					} else {
-						db.failLocked(err)
-					}
-				}
-				db.mu.Unlock()
-			}
-		}
-	}
 }
 
 // Stats returns a snapshot of store statistics.
@@ -896,20 +843,11 @@ func (db *DB) Dir() string { return db.dir }
 // Close flushes and closes the store and releases the directory lock.
 func (db *DB) Close() error {
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
-		db.mu.Unlock()
 		return ErrClosed
 	}
 	db.closed = true
-	db.mu.Unlock()
-
-	if db.stopSync != nil {
-		close(db.stopSync)
-		db.syncWG.Wait()
-	}
-
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	var firstErr error
 	if db.active != nil {
 		if err := db.active.Sync(); err != nil && firstErr == nil {

@@ -435,7 +435,7 @@ func TestSyncPolicies(t *testing.T) {
 	for _, pol := range []SyncPolicy{SyncAlways, SyncBatch, SyncNever} {
 		t.Run(fmt.Sprintf("policy-%d", pol), func(t *testing.T) {
 			dir := t.TempDir()
-			db := mustOpen(t, dir, Options{Sync: pol, SyncInterval: time_ms(5)})
+			db := mustOpen(t, dir, Options{Sync: pol})
 			for i := 0; i < 50; i++ {
 				if err := db.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
 					t.Fatal(err)
