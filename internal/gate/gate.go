@@ -124,15 +124,14 @@ type Options struct {
 	// disables jitter; inject a vclock.SeededRand for a probe schedule
 	// reproducible from a seed.
 	Rand vclock.Rand
-	// MaxBodyBytes caps a proxied request body. Bodies stream to the
-	// first upstream attempt while a tee captures what passed, so this
-	// bounds the retained replay prefix (memory per in-flight request),
-	// not an up-front buffer. Bodies over the cap are rejected with 413
-	// — they could not be replayed on a ring successor, so accepting
-	// them would silently lose retry-on-successor. Raise it when single
-	// batched AddTasks payloads exceed the default (DefaultMaxBodyBytes,
-	// 32 MiB); the reprowd-gate -max-body-buffer flag sets it. Zero or
-	// negative means the default.
+	// MaxBodyBytes caps a proxied request body. The gateway reads each
+	// body whole before the first attempt and replays the same bytes on
+	// every ring successor and followed 307, so this bounds the memory
+	// one in-flight request holds. Bodies over the cap are rejected with
+	// 413 before any node sees a byte. Raise it when single batched
+	// AddTasks payloads exceed the default (DefaultMaxBodyBytes, 32 MiB);
+	// the reprowd-gate -max-body-buffer flag sets it. Zero or negative
+	// means the default.
 	MaxBodyBytes int64
 	// ReadCache enables the frontier-tagged read cache: single-partition
 	// GET responses carrying platform.HeaderFrontier are kept and served

@@ -11,20 +11,18 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/repl"
 )
 
-// DefaultMaxBodyBytes is the default request-body cap. Bodies stream to
-// the first upstream attempt while a tee captures what passed (see
-// bodyStream), so the cap bounds the captured replay prefix, not an
-// up-front buffer. Raise it via Options.MaxBodyBytes (the
-// -max-body-buffer flag) when single AddTasks batches exceed it —
-// a body over the cap cannot be replayed on a ring successor, so the
-// gateway rejects it with 413 instead of losing retry-on-successor.
+// DefaultMaxBodyBytes is the default request-body cap. The gateway reads
+// each proxied request body whole, up to this cap, and replays those
+// bytes on every candidate attempt (see readBody), so the cap bounds the
+// memory one in-flight request holds. Raise it via Options.MaxBodyBytes
+// (the -max-body-buffer flag) when single AddTasks batches exceed it; a
+// body over the cap is rejected with 413 before any node sees a byte.
 const DefaultMaxBodyBytes int64 = 32 << 20
 
 // maxErrBody caps how much of an upstream error response is buffered
@@ -80,10 +78,10 @@ func (s *statusRecorder) Flush() {
 // ServeHTTP implements http.Handler: the full platform REST surface,
 // routed, plus the gateway's own /api/healthz and /api/gate/* endpoints.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// The trace id rides the request header from here on: send() and
-	// redirectRequest() copy headers wholesale, so every proxied hop —
-	// including followed 307s — carries it without further plumbing. The
-	// fan-out paths that mint fresh requests set it explicitly.
+	// The trace id rides the request header from here on: forward()
+	// copies headers wholesale, so every proxied hop — including followed
+	// 307s — carries it without further plumbing. The fan-out paths that
+	// mint fresh requests set it explicitly.
 	trace := obs.EnsureTrace(r)
 	w.Header().Set(obs.HeaderTrace, trace)
 	switch {
@@ -104,13 +102,22 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		}()
 	}
+	body, err := readBody(r, g.opts.MaxBodyBytes)
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.Is(err, errBodyTooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeGateErr(w, status, "bad_request", err.Error())
+		return
+	}
 	switch pl.class {
 	case classWrite:
-		g.handleWrite(w, r, pl)
+		g.handleWrite(w, r, pl, body)
 	case classRead:
-		g.handleRead(w, r, pl)
+		g.handleRead(w, r, pl, body)
 	case classEnsure:
-		g.handleEnsure(w, r)
+		g.handleEnsure(w, r, body)
 	case classListProjects:
 		g.handleListProjects(w, r)
 	case classFind:
@@ -162,145 +169,42 @@ func copyHeaders(dst, src http.Header) {
 	}
 }
 
-// readBody buffers the request body for candidate replay. Only ensure
-// still uses it — it must parse the body (the project name) before it can
-// even pick a target. Everything else streams through bodyStream.
+var errBodyTooLarge = errors.New("gate: request body over size cap")
+
+// readBody reads a request body whole, capped at max bytes. The gateway
+// reads each proxied body once and replays the bytes on every candidate
+// attempt and followed 307 (see forward), so a retried write carries
+// exactly what the client sent. A body over the cap — declared or
+// actual — wraps errBodyTooLarge; any other error is a failed read.
 func readBody(r *http.Request, max int64) ([]byte, error) {
-	if r.Body == nil {
+	if r.ContentLength > max {
+		return nil, fmt.Errorf("%w (%d bytes)", errBodyTooLarge, max)
+	}
+	if r.Body == nil || r.Body == http.NoBody {
 		return nil, nil
 	}
 	defer r.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(r.Body, max+1))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("gate: read request body: %w", err)
 	}
 	if int64(len(body)) > max {
-		return nil, fmt.Errorf("request body over %d bytes", max)
+		return nil, fmt.Errorf("%w (%d bytes)", errBodyTooLarge, max)
 	}
 	return body, nil
 }
 
-var (
-	errBodyTooLarge = errors.New("gate: request body over size cap")
-	errStaleBody    = errors.New("gate: body reader superseded by a retry")
-)
-
-// bodyStream feeds one request body through the candidate-walk retry
-// loop without buffering it up front: the current attempt streams
-// straight from the client while a tee captures the bytes that passed,
-// and a retry replays the captured prefix before continuing the stream.
-// Upstream sees the first byte as soon as the client sends it instead of
-// after a full 32MiB read — the capture only ever holds what some
-// upstream actually consumed.
-//
-// The mutex + generation guard exist because the transport may still be
-// draining a failed attempt's body in the background when the next
-// attempt starts; a superseded reader errors out instead of racing the
-// live one for the source.
-type bodyStream struct {
-	mu       sync.Mutex
-	src      io.Reader // remaining client body; nil when absent or drained
-	buf      bytes.Buffer
-	n        int64
-	max      int64 // replay-capture cap (gateway's configured body cap)
-	overflow bool
-	gen      int
-}
-
-func newBodyStream(r *http.Request, max int64) *bodyStream {
-	bs := &bodyStream{max: max}
-	if r.Body != nil && r.Body != http.NoBody {
-		bs.src = r.Body
-	}
-	return bs
-}
-
-// bodyFromBytes wraps an already-buffered body (ensure parses the body
-// before routing, so its bytes are in hand).
-func bodyFromBytes(b []byte, max int64) *bodyStream {
-	bs := &bodyStream{max: max}
-	bs.buf.Write(b)
-	return bs
-}
-
-// reader returns the body for the next forward attempt, superseding any
-// reader a previous attempt may still hold. nil means no body.
-func (b *bodyStream) reader() io.Reader {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.gen++
-	if b.src == nil && b.buf.Len() == 0 {
-		return nil
-	}
-	prefix := bytes.NewReader(b.buf.Bytes())
-	if b.src == nil {
-		return prefix
-	}
-	return io.MultiReader(prefix, &bodyTail{b: b, gen: b.gen})
-}
-
-// tooBig reports whether the client body overran the cap mid-stream.
-func (b *bodyStream) tooBig() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.overflow
-}
-
-// bodyTail is the live (unreplayed) remainder of a bodyStream, teeing
-// what it delivers into the replay capture.
-type bodyTail struct {
-	b   *bodyStream
-	gen int
-}
-
-func (t *bodyTail) Read(p []byte) (int, error) {
-	t.b.mu.Lock()
-	defer t.b.mu.Unlock()
-	if t.gen != t.b.gen {
-		return 0, errStaleBody
-	}
-	if t.b.overflow {
-		return 0, errBodyTooLarge
-	}
-	if t.b.src == nil {
-		return 0, io.EOF
-	}
-	n, err := t.b.src.Read(p)
-	if n > 0 {
-		t.b.n += int64(n)
-		if t.b.n > t.b.max {
-			t.b.overflow = true
-			return 0, errBodyTooLarge
-		}
-		t.b.buf.Write(p[:n])
-	}
-	if err == io.EOF {
-		t.b.src = nil
-		if n > 0 {
-			err = nil // deliver the final chunk; the next read reports EOF
-		}
-	}
-	return n, err
-}
-
-// send forwards the request to a base URL, streaming the body.
-func (g *Gateway) send(r *http.Request, base string, body *bodyStream) (*http.Response, error) {
-	u := base + r.URL.Path
-	if r.URL.RawQuery != "" {
-		u += "?" + r.URL.RawQuery
-	}
+// forward sends one upstream attempt: the client's method and headers
+// against URL u, with a fresh reader over the body bytes. Every candidate
+// attempt and every followed 307 is built here.
+func (g *Gateway) forward(r *http.Request, u string, body []byte) (*http.Response, error) {
 	var rd io.Reader
-	if body != nil {
-		rd = body.reader()
+	if len(body) > 0 {
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, u, rd)
 	if err != nil {
 		return nil, err
-	}
-	if rd != nil && req.ContentLength == 0 && r.ContentLength > 0 {
-		// A MultiReader body leaves the length unknown (chunked); the
-		// client declared it, and replay or not the total is the same.
-		req.ContentLength = r.ContentLength
 	}
 	copyHeaders(req.Header, r.Header)
 	return g.hc.Do(req)
@@ -398,13 +302,17 @@ type keeps struct {
 // permanently fences itself — rather than accepting a write onto a dead
 // timeline. The 409 is treated as retryable, so the walk carries the
 // write to the partition's real leader.
-func (g *Gateway) attempt(w http.ResponseWriter, r *http.Request, t target, body *bodyStream, keep *keeps, isWrite bool) (attemptOutcome, target) {
+func (g *Gateway) attempt(w http.ResponseWriter, r *http.Request, t target, body []byte, keep *keeps, isWrite bool) (attemptOutcome, target) {
 	if isWrite && t.partition != "" {
 		if tok := g.partitionToken(t.partition); !tok.IsZero() {
 			r.Header.Set(platform.HeaderEpoch, tok.String())
 		}
 	}
-	resp, err := g.send(r, t.node.cfg.url, body)
+	u := t.node.cfg.url + r.URL.Path
+	if r.URL.RawQuery != "" {
+		u += "?" + r.URL.RawQuery
+	}
+	resp, err := g.forward(r, u, body)
 	if err != nil {
 		g.bookFailure(t.node)
 		g.kickProbe()
@@ -431,7 +339,7 @@ func (g *Gateway) attempt(w http.ResponseWriter, r *http.Request, t target, body
 			// the next probe round establishes the real owner.
 			t = target{}
 		}
-		resp, err = g.hc.Do(redirectRequest(r, loc, body))
+		resp, err = g.forward(r, loc, body)
 		if err != nil {
 			g.bookFailure(t.node)
 			return outcomeRetryable, t
@@ -477,27 +385,6 @@ func (g *Gateway) attempt(w http.ResponseWriter, r *http.Request, t target, body
 	}
 	relay(w, resp)
 	return outcomeDone, t
-}
-
-// redirectRequest rebuilds the request against an absolute redirect
-// target, replaying the body stream.
-func redirectRequest(r *http.Request, loc string, body *bodyStream) *http.Request {
-	var rd io.Reader
-	if body != nil {
-		rd = body.reader()
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, loc, rd)
-	if err != nil {
-		// Unreachable for a Location the stdlib produced; fall back to a
-		// request that will fail cleanly.
-		req, _ = http.NewRequest(r.Method, "http://invalid.invalid/", nil)
-		return req
-	}
-	if rd != nil && req.ContentLength == 0 && r.ContentLength > 0 {
-		req.ContentLength = r.ContentLength
-	}
-	copyHeaders(req.Header, r.Header)
-	return req
 }
 
 // isLeaderNode reads a node's probed role under the lock. A nil node (a
@@ -547,17 +434,7 @@ func (g *Gateway) nodeByLocation(loc string) (target, bool) {
 // (owner discovery after ring drift); if everything is down, surface the
 // most recent upstream error. It returns the target that served the
 // relayed response (ok=false when no attempt produced one).
-func (g *Gateway) run(w http.ResponseWriter, r *http.Request, pl plan, targets []target, isWrite bool) (target, bool) {
-	if r.ContentLength > g.opts.MaxBodyBytes {
-		writeGateErr(w, http.StatusRequestEntityTooLarge, "bad_request",
-			fmt.Sprintf("request body over %d bytes", g.opts.MaxBodyBytes))
-		return target{}, false
-	}
-	return g.runWith(w, r, pl, targets, isWrite, newBodyStream(r, g.opts.MaxBodyBytes))
-}
-
-// runWith is run with the request body stream already built.
-func (g *Gateway) runWith(w http.ResponseWriter, r *http.Request, pl plan, targets []target, isWrite bool, body *bodyStream) (target, bool) {
+func (g *Gateway) run(w http.ResponseWriter, r *http.Request, pl plan, targets []target, isWrite bool, body []byte) (target, bool) {
 	if len(targets) == 0 {
 		writeGateErr(w, http.StatusBadGateway, "no_leader",
 			"gate: no leader known for this partition (topology empty or all nodes unprobed)")
@@ -586,14 +463,6 @@ func (g *Gateway) runWith(w http.ResponseWriter, r *http.Request, pl plan, targe
 			g.finish(pl, served, isWrite)
 			return served, true
 		case outcomeRetryable:
-			if body.tooBig() {
-				// The attempt failed because the client body overran the
-				// cap mid-stream, not because the node did; walking on
-				// would replay the same overrun everywhere.
-				writeGateErr(w, http.StatusRequestEntityTooLarge, "bad_request",
-					fmt.Sprintf("request body over %d bytes", g.opts.MaxBodyBytes))
-				return target{}, false
-			}
 			// A nil served node is an out-of-topology redirect target — the
 			// leader a demoted node pointed at — so its failure is a leader
 			// failure too.
@@ -681,8 +550,8 @@ func (g *Gateway) finish(pl plan, served target, isWrite bool) {
 
 // --- the routed handlers ---
 
-func (g *Gateway) handleWrite(w http.ResponseWriter, r *http.Request, pl plan) {
-	served, ok := g.run(w, r, pl, g.writeTargets(pl), true)
+func (g *Gateway) handleWrite(w http.ResponseWriter, r *http.Request, pl plan, body []byte) {
+	served, ok := g.run(w, r, pl, g.writeTargets(pl), true, body)
 	if ok {
 		g.noteWrite(served)
 	}
@@ -700,9 +569,9 @@ func (g *Gateway) noteWrite(served target) {
 	g.cache.bumpEpoch(served.partition)
 }
 
-func (g *Gateway) handleRead(w http.ResponseWriter, r *http.Request, pl plan) {
+func (g *Gateway) handleRead(w http.ResponseWriter, r *http.Request, pl plan, body []byte) {
 	if g.cache == nil || r.Method != http.MethodGet {
-		g.run(w, r, pl, g.readTargets(pl), false)
+		g.run(w, r, pl, g.readTargets(pl), false, body)
 		return
 	}
 	t0 := obs.Now()
@@ -721,7 +590,7 @@ func (g *Gateway) handleRead(w http.ResponseWriter, r *http.Request, pl plan) {
 	g.stats.CacheMisses.Add(1)
 	epochs := g.cache.epochSnapshot()
 	cw := &captureWriter{ResponseWriter: w}
-	served, ok := g.run(cw, r, pl, g.readTargets(pl), false)
+	served, ok := g.run(cw, r, pl, g.readTargets(pl), false, body)
 	if g.m.cacheMiss != nil {
 		g.m.cacheMiss.Observe(obs.Since(t0).Seconds())
 	}
@@ -803,12 +672,7 @@ func (c *captureWriter) cacheable() bool {
 // owner failure could race a concurrent ensure (or an owner that
 // committed before 503ing) into a permanent cross-partition duplicate.
 // A failed ensure is retryable; a duplicate name is forever.
-func (g *Gateway) handleEnsure(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r, g.opts.MaxBodyBytes)
-	if err != nil {
-		writeGateErr(w, http.StatusRequestEntityTooLarge, "bad_request", err.Error())
-		return
-	}
+func (g *Gateway) handleEnsure(w http.ResponseWriter, r *http.Request, body []byte) {
 	var spec struct {
 		Name string `json:"name"`
 	}
@@ -857,7 +721,7 @@ func (g *Gateway) handleEnsure(w http.ResponseWriter, r *http.Request) {
 			owner = chain[0]
 		}
 	}
-	served, ok := g.runWith(w, r, pl, g.partitionWriteTarget(owner), true, bodyFromBytes(body, g.opts.MaxBodyBytes))
+	served, ok := g.run(w, r, pl, g.partitionWriteTarget(owner), true, body)
 	if ok {
 		g.noteWrite(served)
 	}
@@ -989,7 +853,7 @@ func (g *Gateway) handleFind(w http.ResponseWriter, r *http.Request, pl plan) {
 	g.mu.RUnlock()
 	var keep keeps
 	var sawMiss bool
-	// As in runWith: a typed miss is only definitive once every partition
+	// As in run: a typed miss is only definitive once every partition
 	// answered, and a configured-but-never-probed node may be a partition
 	// this gateway cannot see at all.
 	leaderDown := g.unknownNodeDown()

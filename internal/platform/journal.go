@@ -107,20 +107,19 @@ type Journal struct {
 	fastAck    bool // ack at enqueue: the store's policy is not SyncAlways
 	syncGroups bool // commit each group with ApplyDurable: the policy is not SyncNever
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []*Ticket
-	next     uint64 // sequence number of the next event to commit
-	first    uint64 // events below this were folded into a snapshot (truncated)
-	closed   bool
-	failed   error // sticky flush failure; all later appends return it
-	epoch    EpochToken
-	fenced   bool                                 // a newer epoch was proven; appends are rejected
-	observer func(seq uint64, ev Event, size int) // committed-event tap, called from the committer in seq order
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []*Ticket
+	next   uint64 // sequence number of the next event to commit
+	first  uint64 // events below this were folded into a snapshot (truncated)
+	closed bool
+	failed error // sticky flush failure; all later appends return it
+	epoch  EpochToken
+	fenced bool // a newer epoch was proven; appends are rejected
 
-	// taps are additional committed-event observers (replication feeds),
-	// keyed by registration id so each can be removed independently. They
-	// receive events after the primary observer, in sequence order.
+	// taps are the committed-event observers (the checkpointer and
+	// replication feeds), keyed by registration id so each can be removed
+	// independently. Each receives events in sequence order.
 	taps    map[uint64]func(seq uint64, ev Event, size int)
 	nextTap uint64
 
@@ -597,10 +596,7 @@ func (j *Journal) run() {
 			// the store (its seed scan holds the store's read lock)
 			// must still receive these events — they were not yet on
 			// disk when its scan closed.
-			observers := make([]func(uint64, Event, int), 0, 1+len(j.taps))
-			if j.observer != nil {
-				observers = append(observers, j.observer)
-			}
+			observers := make([]func(uint64, Event, int), 0, len(j.taps))
 			for _, tap := range j.taps {
 				observers = append(observers, tap)
 			}
@@ -745,26 +741,14 @@ func (j *Journal) Close() error {
 	return nil
 }
 
-// SetObserver registers fn to receive every committed event — sequence
-// number, decoded event, encoded size — called from the committer
-// goroutine in sequence order after each flush. The snapshot checkpointer
-// uses it to materialize state incrementally without replaying history.
-// fn must be cheap and must not call back into the journal's append path;
-// register it before any traffic so no committed event is missed.
-func (j *Journal) SetObserver(fn func(seq uint64, ev Event, size int)) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.observer = fn
-}
-
-// AddTap registers an additional committed-event observer alongside the
-// primary one (the replication feed's hook) and returns a function that
-// removes it. Taps receive every event committed after registration, in
-// sequence order, from the committer goroutine — the same contract as
-// SetObserver, with the same obligations: be cheap, never call back into
-// the append path. Events committed before registration are read from
-// disk with EventsFrom; a reader that scans first and taps second can
-// see an overlap, never a gap, and dedupes by sequence number.
+// AddTap registers a committed-event observer — the checkpointer's and
+// the replication feed's hook — and returns a function that removes it.
+// fn receives every event committed after registration — sequence number,
+// decoded event, encoded size — in sequence order, from the committer
+// goroutine after each flush. fn must be cheap and must never call back
+// into the append path. Events committed before registration are read
+// from disk; a reader that taps first and scans second can see an
+// overlap, never a gap, and dedupes by sequence number.
 func (j *Journal) AddTap(fn func(seq uint64, ev Event, size int)) (cancel func()) {
 	j.mu.Lock()
 	if j.taps == nil {
@@ -789,7 +773,7 @@ func (j *Journal) AddTap(fn func(seq uint64, ev Event, size int)) (cancel func()
 // holds the store's read lock, so fn must not block on slow consumers —
 // collect and ship after returning.
 func (j *Journal) EventsFrom(start uint64, fn func(seq uint64, ev Event, size int) error) error {
-	return j.replayFrom(start, fn)
+	return j.replayFrom(start, false, fn)
 }
 
 // SeedJournalCut prepares an empty store to host a journal whose history
@@ -897,13 +881,18 @@ func (j *Journal) Replay(fn func(Event) error) error {
 // append order. Recovery from a snapshot cut at seq S replays the tail
 // with start = S; events below start are skipped even if still on disk
 // (a crash between the snapshot commit and the truncation leaves them
-// behind), so nothing the snapshot already covers is applied twice.
+// behind), so nothing the snapshot already covers is applied twice. The
+// first event replayed must be start itself: a missing event at start is
+// lost history, and recovery fails with ErrEventCorrupt rather than
+// resume past it.
 func (j *Journal) ReplayFrom(start uint64, fn func(Event) error) error {
-	return j.replayFrom(start, func(_ uint64, ev Event, _ int) error { return fn(ev) })
+	return j.replayFrom(start, true, func(_ uint64, ev Event, _ int) error { return fn(ev) })
 }
 
 // replayFrom is ReplayFrom with the sequence number and encoded size of
-// each event exposed (the checkpointer's seed path accounts both).
+// each event exposed (the checkpointer's seed path accounts both). exact
+// requires the first delivered sequence to be start, as recovery does;
+// EventsFrom passes false (see below).
 //
 // Values are delivered through the store's shared-buffer scan — one
 // decode buffer reused across all events instead of two allocations per
@@ -912,17 +901,17 @@ func (j *Journal) ReplayFrom(start uint64, fn func(Event) error) error {
 // that does not start with the codec magic, or fails its checksum, is
 // corruption and fails recovery with a typed error rather than applying
 // a partial or misread event.
-func (j *Journal) replayFrom(start uint64, fn func(seq uint64, ev Event, size int) error) error {
+func (j *Journal) replayFrom(start uint64, exact bool, fn func(seq uint64, ev Event, size int) error) error {
 	var ferr error
 	// Sequence numbers at or above start must be dense (flush-time
 	// assignment and the sticky-failure rule guarantee no holes were ever
 	// written). A gap means the store lost a committed event — recovery
-	// must fail typed rather than silently apply partial history. The
+	// must fail typed rather than silently apply partial history. With
+	// exact, the first live key must be start itself. Without it, a
 	// leading gap between start and the first live key is legal: it is a
-	// truncation racing the caller's FirstSeq read, and callers detect it
-	// by the first delivered sequence.
-	var next uint64
-	haveNext := false
+	// truncation racing the replication feed's FirstSeq read, and the
+	// feed detects it by the first delivered sequence.
+	next, haveNext := start, exact
 	err := j.db.ScanShared(journalPrefix, func(key string, val []byte) bool {
 		seq, ok := parseJournalKey(key)
 		if !ok {

@@ -22,7 +22,7 @@ import (
 // recovery becomes load-snapshot + replay-tail: O(live state + tail).
 //
 // The cut is consistent by construction. A Checkpointer taps the
-// journal's committer (Journal.SetObserver) and applies every committed
+// journal's committer (Journal.AddTap) and applies every committed
 // event, in sequence order, to its own materializer — a shadow of the
 // replay path that never touches the engine's locks. When the policy
 // triggers, the materializer's state at sequence S is by definition what
@@ -508,9 +508,10 @@ var ErrCheckpointerClosed = errors.New("platform: checkpointer is closed")
 // traffic; Close it on shutdown (order does not matter relative to
 // Journal.Close — a closed journal simply stops feeding it).
 type Checkpointer struct {
-	j    *Journal
-	db   *storage.DB
-	opts CheckpointOptions
+	j     *Journal
+	db    *storage.DB
+	opts  CheckpointOptions
+	untap func() // detaches the committed-event tap
 
 	pmu     sync.Mutex
 	pending []obsEvent
@@ -569,7 +570,7 @@ func NewCheckpointer(e *Engine, opts CheckpointOptions) (*Checkpointer, error) {
 		c.smu.Unlock()
 	}
 	// Seed the materializer from disk — the same snapshot + tail-replay
-	// recovery the engine itself performs — with the observer registered
+	// recovery the engine itself performs — with the tap registered
 	// before the journal tail scan. This is correct under any
 	// interleaving with live traffic: the scan holds the store's read
 	// lock, so an event flushed after the scan closes is not in the scan
@@ -584,8 +585,8 @@ func NewCheckpointer(e *Engine, opts CheckpointOptions) (*Checkpointer, error) {
 		c.mat = materializerFromState(st)
 		c.seq = st.Seq
 	}
-	j.SetObserver(c.observe)
-	if err := j.replayFrom(c.seq, func(_ uint64, ev Event, size int) error {
+	c.untap = j.AddTap(c.observe)
+	if err := j.replayFrom(c.seq, true, func(_ uint64, ev Event, size int) error {
 		if err := c.mat.apply(ev); err != nil {
 			return err
 		}
@@ -597,9 +598,9 @@ func NewCheckpointer(e *Engine, opts CheckpointOptions) (*Checkpointer, error) {
 		c.sinceBytes += int64(size)
 		return nil
 	}); err != nil {
-		// Detach before bailing: a registered observer with no drain
+		// Detach before bailing: a registered tap with no drain
 		// goroutine would buffer every future commit unboundedly.
-		j.SetObserver(nil)
+		c.untap()
 		return nil, fmt.Errorf("platform: checkpointer seed: %w", err)
 	}
 	c.smu.Lock()
@@ -818,7 +819,7 @@ func (c *Checkpointer) Stats() SnapshotStats {
 	return c.stats
 }
 
-// Close detaches the journal observer and stops the checkpoint
+// Close detaches the journal tap and stops the checkpoint
 // goroutine. Events staged but not yet cut simply remain in the journal
 // tail for the next recovery. Idempotent.
 func (c *Checkpointer) Close() error {
@@ -826,7 +827,7 @@ func (c *Checkpointer) Close() error {
 		// Detach first: with the drain goroutine gone, a still-attached
 		// observer would grow c.pending for as long as the journal keeps
 		// committing.
-		c.j.SetObserver(nil)
+		c.untap()
 		close(c.stop)
 		c.wg.Wait()
 	})

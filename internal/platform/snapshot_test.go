@@ -568,3 +568,66 @@ func TestCheckpointerKeepsPipelineLive(t *testing.T) {
 		t.Fatal("no truncation happened under load")
 	}
 }
+
+// TestRecoveryRejectsLostFirstTailEvent pins recovery's strict start: a
+// snapshot cut at S followed by a store that lost the event at S must
+// fail typed. Resuming from S+1 would drop a committed run, and the
+// append position would then land on the missing key and overwrite the
+// committed history above it. The replication feed's EventsFrom keeps
+// its leading-gap exemption (a truncation racing its FirstSeq read).
+func TestRecoveryRejectsLostFirstTailEvent(t *testing.T) {
+	dir := t.TempDir()
+	env := openSnapEnv(t, dir, storage.SyncAlways, false, &CheckpointOptions{EveryEvents: 1 << 20})
+	p, err := env.e.EnsureProject(ProjectSpec{Name: "lost", Redundancy: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := env.e.AddTasks(p.ID, []TaskSpec{{ExternalID: "a"}, {ExternalID: "b"}, {ExternalID: "c"}, {ExternalID: "d"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.cp.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	cut := env.j.FirstSeq()
+	if cut != 2 {
+		t.Fatalf("checkpoint cut at %d, want 2", cut)
+	}
+	for _, task := range tasks {
+		if _, err := env.e.Submit(task.ID, "w1", "yes"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := env.db.Delete(journalKey(cut)); err != nil {
+		t.Fatal(err)
+	}
+	env.close()
+
+	db, err := storage.Open(dir, storage.Options{Sync: storage.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	j, err := OpenJournal(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if _, err := NewEngineOpts(EngineOptions{Clock: vclock.NewVirtual(), Journal: j}); !errors.Is(err, ErrEventCorrupt) {
+		t.Fatalf("engine recovery over a lost first tail event: err = %v, want ErrEventCorrupt", err)
+	}
+	if err := j.ReplayFrom(cut, func(Event) error { return nil }); !errors.Is(err, ErrEventCorrupt) {
+		t.Fatalf("ReplayFrom(%d) over a lost first event: err = %v, want ErrEventCorrupt", cut, err)
+	}
+	var first uint64
+	seen := 0
+	if err := j.EventsFrom(cut, func(seq uint64, _ Event, _ int) error {
+		if seen == 0 {
+			first = seq
+		}
+		seen++
+		return nil
+	}); err != nil || seen != 3 || first != cut+1 {
+		t.Fatalf("EventsFrom(%d) = first %d, %d events, err %v; want first %d, 3 events", cut, first, seen, err, cut+1)
+	}
+}

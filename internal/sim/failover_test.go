@@ -107,6 +107,10 @@ func TestSimAutoFailover(t *testing.T) {
 	// The deposed leader restarts. Its journal holds no newer token, so it
 	// comes up believing it still leads — the fencing stamp is what stops
 	// it: a write carrying the current epoch is proof of its deposition.
+	// The gateway is cut off from l1 until that is checked: otherwise its
+	// prober can fence the restarted node first, and the stamped write
+	// would meet 503 fenced instead of the 409 under test.
+	c.Net.Partition("gw", "l1")
 	if err := c.Restart("l1"); err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +124,7 @@ func TestSimAutoFailover(t *testing.T) {
 	if n := c.Node("l1"); !n.rnode.Fenced() {
 		t.Fatal("deposed leader not fenced after stamped contact")
 	}
+	c.Net.Heal("gw", "l1")
 
 	// The fenced node rejoins the new timeline as a follower and
 	// converges byte-identically.
